@@ -6,6 +6,8 @@ inputs produce byte-identical output.
 
 Exit codes for ``local``: 0 = NonEmpty, 1 = Empty, 2 = Undetermined or
 OutOfScope; malformed input exits with code 3 for every subcommand.
+``analyze --batch`` writes one line per row, an error object for a row
+that failed, and exits with code 3 if any row failed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from .corpus import resolve
@@ -99,6 +102,19 @@ def _analyze_one(curve_spec: str, p: int, scan_cap, assume) -> dict:
     return _report_dict(report)
 
 
+def _batch_row(i: int, row: list, scan_cap, assume) -> dict:
+    """The report of one batch row, or an error object in its place."""
+    spec = row[0].strip()
+    p = row[1].strip() if len(row) > 1 else None
+    try:
+        p = int(p)
+        return _analyze_one(spec, p, scan_cap, assume)
+    except Exception as exc:
+        traceback.print_exc()
+        return {"row": i, "curve": spec, "p": p,
+                "error": f"{type(exc).__name__}: {exc}"}
+
+
 def _cmd_analyze(args) -> int:
     assume = args.assume or []
     if args.batch:
@@ -106,16 +122,17 @@ def _cmd_analyze(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with open(args.batch) as fh:
-            rows = [(r[0].strip(), int(r[1])) for r in csv.reader(fh)
+            rows = [r for r in csv.reader(fh)
                     if r and not r[0].startswith("#")]
+        failed = False
         with ProcessPoolExecutor() as pool:
             results = pool.map(
-                _analyze_one,
-                [r[0] for r in rows], [r[1] for r in rows],
+                _batch_row, range(len(rows)), rows,
                 [args.scan_cap] * len(rows), [assume] * len(rows))
             for res in results:
+                failed = failed or "error" in res
                 _emit(res)
-        return 0
+        return USAGE_ERROR if failed else 0
     if not args.curve or args.p is None:
         raise ValueError("analyze requires --curve and --p (or --batch)")
     _emit(_analyze_one(args.curve, args.p, args.scan_cap, assume))

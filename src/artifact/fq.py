@@ -4,6 +4,16 @@ Fields are represented in a polynomial basis over F_ell with a fixed,
 deterministically chosen irreducible modulus, so results are reproducible
 across runs.  Elements are tuples of ints of length k (little-endian
 coefficients).
+
+Polynomials come in two representations, each with one owner:
+
+* ``flx_*``: polynomials over the prime field F_ell as little-endian int
+  lists.  Division polynomials and Frobenius modules (``fqcurves``) and
+  the irreducibility test behind ``conway_like_modulus`` use these.
+* ``poly_*``: polynomials over any field with the ``Fq`` protocol (``Fq``
+  or ``QuadExt``) as lists of field elements.  Root finding in extension
+  fields uses these: the F_{ell^12} root counts of ``padic``, field
+  embeddings and the pairing fields of ``fqcurves``.
 """
 
 from __future__ import annotations
@@ -12,91 +22,117 @@ import random
 from functools import lru_cache
 
 
+# ---------------------------------------------------------------------------
+# Polynomials over F_ell: dense little-endian int lists.
+# ---------------------------------------------------------------------------
+
+def flx_trim(f):
+    while len(f) > 1 and f[-1] == 0:
+        f = f[:-1]
+    return f
+
+
+def flx_deg(f) -> int:
+    f = flx_trim(f)
+    return -1 if f == [0] else len(f) - 1
+
+
+def flx_add(ell: int, f, g):
+    n = max(len(f), len(g))
+    f = f + [0] * (n - len(f))
+    g = g + [0] * (n - len(g))
+    return flx_trim([(a + b) % ell for a, b in zip(f, g)])
+
+
+def flx_sub(ell: int, f, g):
+    n = max(len(f), len(g))
+    f = f + [0] * (n - len(f))
+    g = g + [0] * (n - len(g))
+    return flx_trim([(a - b) % ell for a, b in zip(f, g)])
+
+
+def flx_smul(ell: int, c: int, f):
+    return flx_trim([(c * a) % ell for a in f])
+
+
+def flx_mul(ell: int, f, g):
+    if flx_deg(f) < 0 or flx_deg(g) < 0:
+        return [0]
+    if len(f) < 16 or len(g) < 16:
+        res = [0] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if a:
+                for j, b in enumerate(g):
+                    res[i + j] = (res[i + j] + a * b) % ell
+        return flx_trim(res)
+    # Kronecker substitution: one big-integer multiply, then unpack.
+    w = ((min(len(f), len(g)) * (ell - 1) ** 2).bit_length() + 7) // 8
+    pf = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in f), "little")
+    pg = int.from_bytes(b"".join(c.to_bytes(w, "little") for c in g), "little")
+    n = len(f) + len(g) - 1
+    raw = (pf * pg).to_bytes(n * w, "little")
+    return flx_trim([int.from_bytes(raw[i * w:(i + 1) * w], "little") % ell
+                     for i in range(n)])
+
+
+def flx_divmod(ell: int, f, g):
+    f = flx_trim(list(f))
+    g = flx_trim(list(g))
+    dg = flx_deg(g)
+    if dg < 0:
+        raise ZeroDivisionError
+    inv = pow(g[-1], -1, ell)
+    quot = [0] * max(1, len(f) - dg)
+    rem = list(f)
+    while flx_deg(rem) >= dg:
+        dr = flx_deg(rem)
+        c = (rem[dr] * inv) % ell
+        quot[dr - dg] = c
+        for j in range(dg + 1):
+            rem[dr - dg + j] = (rem[dr - dg + j] - c * g[j]) % ell
+        rem = flx_trim(rem)
+    return flx_trim(quot), rem
+
+
+def flx_mod(ell: int, f, g):
+    return flx_divmod(ell, f, g)[1]
+
+
+def flx_monic(ell: int, f):
+    f = flx_trim(list(f))
+    if flx_deg(f) < 0:
+        return f
+    return flx_smul(ell, pow(f[-1], -1, ell), f)
+
+
+def flx_gcd(ell: int, f, g):
+    f, g = flx_trim(list(f)), flx_trim(list(g))
+    while flx_deg(g) >= 0:
+        f, g = g, flx_mod(ell, f, g)
+    return flx_monic(ell, f)
+
+
+def flx_powmod(ell: int, f, n: int, m):
+    res = [1]
+    f = flx_mod(ell, f, m)
+    while n:
+        if n & 1:
+            res = flx_mod(ell, flx_mul(ell, res, f), m)
+        f = flx_mod(ell, flx_mul(ell, f, f), m)
+        n >>= 1
+    return res
+
+
 def _poly_is_irreducible(coeffs: tuple[int, ...], ell: int) -> bool:
-    """Irreducibility of a monic polynomial over F_ell (x^q-x style test)."""
-    k = len(coeffs) - 1
-    # x^(ell^k) == x mod f, and gcd(x^(ell^d) - x, f) == 1 for proper d | k
-    f = coeffs
-
-    def polmulmod(a, b):
-        res = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] = (res[i + j] + ai * bj) % ell
-        # reduce mod f (monic)
-        for i in range(len(res) - 1, k - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                for j in range(k + 1):
-                    res[i - k + j] = (res[i - k + j] - c * f[j]) % ell
-        while len(res) > k:
-            res.pop()
-        while len(res) < k:
-            res.append(0)
-        return res
-
-    def frob_power(times):
-        # x^(ell^times) mod f via repeated ell-th powering
-        cur = [0, 1] + [0] * (k - 2) if k >= 2 else [0]
-        cur = cur[:k] + [0] * (k - len(cur))
-        for _ in range(times):
-            # raise to ell-th power by square-and-multiply
-            res = [1] + [0] * (k - 1)
-            base = cur
-            n = ell
-            while n:
-                if n & 1:
-                    res = polmulmod(res, base)
-                base = polmulmod(base, base)
-                n >>= 1
-            cur = res
-        return cur
-
-    def polgcd_is_one(a):
-        """gcd(a, f) over F_ell is constant?"""
-        def trim(p):
-            while p and p[-1] == 0:
-                p.pop()
-            return p
-
-        u = trim(list(a))
-        v = trim(list(f))
-        while u:
-            # v mod u (u nonzero)
-            inv_lead = pow(u[-1], -1, ell)
-            while len(v) >= len(u):
-                c = (v[-1] * inv_lead) % ell
-                if c:
-                    off = len(v) - len(u)
-                    for j, uj in enumerate(u):
-                        v[off + j] = (v[off + j] - c * uj) % ell
-                trim(v)
-                if not v:
-                    break
-            u, v = v, u
-        return len(v) == 1
-
-    xk = frob_power(k)
-    x_itself = ([0, 1] + [0] * (k - 2))[:k] if k >= 2 else [0]
-    if k == 1:
-        return True
-    if xk != x_itself:
-        return False
-    for d in {k // q for q in range(2, k + 1) if k % q == 0 and _is_prime_small(q)}:
-        xd = frob_power(d)
-        diff = [(a - b) % ell for a, b in zip(xd, x_itself)]
-        if not polgcd_is_one(diff):
-            return False
-    return True
-
-
-def _is_prime_small(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(n**0.5) + 1):
-        if n % d == 0:
+    """Ben-Or's test for a monic f of degree k over F_ell: f is
+    irreducible iff gcd(x^(ell^i) - x, f) = 1 for every i <= k/2, each
+    x^(ell^i) mod f the ell-th power of the one before."""
+    f = list(coeffs)
+    x = [0, 1]
+    h = x
+    for _ in range((len(f) - 1) // 2):
+        h = flx_powmod(ell, h, ell, f)
+        if flx_deg(flx_gcd(ell, flx_sub(ell, h, x), f)) > 0:
             return False
     return True
 
@@ -241,10 +277,6 @@ class Fq:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def frob(self, a):
-        """a^ell (the absolute Frobenius)."""
-        return self.pow(a, self.ell)
-
     def element_order(self, a) -> int:
         if self.is_zero(a):
             raise ValueError("zero has no multiplicative order")
@@ -262,68 +294,6 @@ class Fq:
         if self.ell == 2:
             return True
         return self.pow(a, (self.q - 1) // 2) == self.one()
-
-    def sqrt(self, a):
-        """A square root, or None.  Deterministic for fixed field."""
-        if self.is_zero(a):
-            return self.zero()
-        if self.ell == 2:
-            return self.pow(a, self.q // 2)
-        if not self.is_square(a):
-            return None
-        # Tonelli-Shanks over F_q
-        q = self.q
-        s, m = q - 1, 0
-        while s % 2 == 0:
-            s //= 2
-            m += 1
-        # find a non-square deterministically
-        z = None
-        for idx in range(1, q):
-            cand = self.from_index(idx)
-            if not self.is_square(cand):
-                z = cand
-                break
-        c = self.pow(z, s)
-        x = self.pow(a, (s + 1) // 2)
-        t = self.pow(a, s)
-        while t != self.one():
-            i, tt = 0, t
-            while tt != self.one():
-                tt = self.mul(tt, tt)
-                i += 1
-            b = self.pow(c, 1 << (m - i - 1))
-            x = self.mul(x, b)
-            c = self.mul(b, b)
-            t = self.mul(t, c)
-            m = i
-        return x
-
-    # embeddings: F_{ell^k} -> F_{ell^(k*d)} determined by mapping the
-    # generator to a root of the modulus in the bigger field.
-    @lru_cache(maxsize=None)
-    def _embedding_image(self, kd: int):
-        big = Fq(self.ell, kd)
-        if self.k == 1:
-            return big.one()
-        roots = poly_roots(big, [big.from_int(c) for c in self.modulus])
-        if not roots:  # pragma: no cover
-            raise RuntimeError("modulus has no root in extension")
-        return sorted(roots)[0]
-
-    def embed(self, a, big: "Fq"):
-        """Image of a under the fixed embedding into F_{ell^(big.k)}."""
-        if big.k % self.k:
-            raise ValueError("not an extension")
-        if big.k == self.k:
-            return a
-        img = self._embedding_image(big.k)
-        res = big.zero()
-        power = big.one()
-        for c in a:
-            res = big.add(res, big.smul(c, power))
-            power = big.mul(power, img)
-        return res
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +387,6 @@ def poly_eval(F: Fq, f, x):
     for c in reversed(poly_trim(F, f)):
         res = F.add(F.mul(res, x), c)
     return res
-
-
-def poly_deriv(F: Fq, f):
-    return poly_trim(F, [F.smul(i, c) for i, c in enumerate(f)][1:] or [F.zero()])
 
 
 def _split_all_linear(F: Fq, f, rng: random.Random):
@@ -547,10 +513,6 @@ class QuadExt:
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
-
-    def in_base(self, x):
-        """The B-component, if x actually lies in B; else None."""
-        return x[0] if self.base.is_zero(x[1]) else None
 
 
 _EMBED_ROOT_CACHE: dict = {}

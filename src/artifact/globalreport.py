@@ -113,9 +113,9 @@ class GlobalReport:
 # ---------------------------------------------------------------------------
 
 def _division_data(m: WeierstrassModel, n: int):
-    """(f_polys, B) with f_k univariate sympy Polys over QQ such that the
-    n-division polynomial is f_n for odd n and f_n * psi2 for even n,
-    where psi2^2 = B = 4x^3 + b2 x^2 + 2 b4 x + b6."""
+    """(f_polys, B, x) with f_0..f_n univariate sympy Polys over QQ such
+    that the k-division polynomial is f_k for odd k and f_k * psi2 for
+    even k, where psi2^2 = B = 4x^3 + b2 x^2 + 2 b4 x + b6."""
     x = sympy.Symbol("x")
     b2, b4, b6, b8 = m.b_invariants()
     B = sympy.Poly(4 * x ** 3 + b2 * x ** 2 + 2 * b4 * x + b6, x)
@@ -134,20 +134,14 @@ def _division_data(m: WeierstrassModel, n: int):
         ),
     }
 
-    def get(k: int):
-        if k in f:
-            return f[k]
+    for k in range(5, n + 1):
         if k % 2:
             j = (k - 1) // 2
-            a, b = get(j + 2) * get(j) ** 3, get(j - 1) * get(j + 1) ** 3
+            a, b = f[j + 2] * f[j] ** 3, f[j - 1] * f[j + 1] ** 3
             f[k] = B ** 2 * a - b if j % 2 == 0 else a - B ** 2 * b
         else:
             j = k // 2
-            f[k] = get(j) * (get(j + 2) * get(j - 1) ** 2
-                             - get(j - 2) * get(j + 1) ** 2)
-        return f[k]
-
-    get(n)
+            f[k] = f[j] * (f[j + 2] * f[j - 1] ** 2 - f[j - 2] * f[j + 1] ** 2)
     return f, B, x
 
 

@@ -210,24 +210,7 @@ def unramified_roots(int_coeffs: list[int], ell: int, k: int = 12):
 
     Returns (ring, list of UnramifiedRoot).
     """
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(int_coeffs)), x)
-    disc = int(poly.discriminant())
-    if disc == 0:
-        raise ValueError("polynomial must be squarefree")
-    lead = int_coeffs[-1]
-    if lead % ell == 0:
-        raise ValueError("leading coefficient must be an ell-unit")
-    N = 2 * valuation(disc, ell) + 20
-    for _ in range(3):
-        R = Wring(ell, k, N)
-        try:
-            coeffs = [R.from_int(c) for c in int_coeffs]
-            found = _count_roots(R, coeffs, 0, max_depth=N - 6)
-            return R, found
-        except PrecisionError:
-            N *= 2
-    raise PrecisionError("could not certify roots at any tried precision")
+    return with_unramified_roots(int_coeffs, ell, lambda R, roots: (R, roots), k)
 
 
 def count_unramified_roots(int_coeffs: list[int], ell: int) -> int:

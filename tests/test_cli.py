@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -120,18 +121,23 @@ def test_survey(capsys):
 
 def test_batch_mode(tmp_path, capsys):
     batch = tmp_path / "batch.csv"
-    batch.write_text("11a1,13\n121b1,37\n")
+    batch.write_text("11a1,13\nnosuchlabel,13\n121b1,37\n")
     code, out = run_cli(["analyze", "--batch", str(batch)], capsys)
-    assert code == 0
+    assert code == 3  # some row failed; the others are still reported
     lines = out.strip().splitlines()
-    assert len(lines) == 2
+    assert len(lines) == 3
     assert json.loads(lines[0])["overall"]["kind"] == "HasRationalPoint"
-    assert json.loads(lines[1])["overall"]["kind"] == "HasseCounterexample"
+    err = json.loads(lines[1])
+    assert err["row"] == 1 and err["curve"] == "nosuchlabel" and err["p"] == 13
+    assert err["error"].startswith("KeyError: ")
+    assert json.loads(lines[2])["overall"]["kind"] == "HasseCounterexample"
 
 
 def test_console_script_entry():
+    # the child imports artifact from the same path as this process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run(
         [sys.executable, "-m", "artifact.cli", "genus", "--p", "11"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["g"] == 26

@@ -94,7 +94,7 @@ def _torsion_points(ell, k, ai, p):
     """All nonzero p-torsion points of the curve over F_{ell^k}."""
     F = Fq(ell, k)
     C = CurveOverFq(F, *ai)
-    ops, poly = division_polynomial(C, p)
+    poly = division_polynomial(C, p)
     coeffs = poly if isinstance(poly, list) else list(poly)
     from artifact.fqcurves import _solve_y  # test-only use of the helper
 

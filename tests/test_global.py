@@ -49,6 +49,14 @@ def test_isogeny_survey_11a1():
     assert sv[7].certainty == EXCLUDED
 
 
+def test_analyze_121b1_isogeny_degree_11():
+    # (11/13) = -1 and 121b1 has CM by sqrt(-11): a rational 11-isogeny.
+    # Certifying its kernel reads every f_k up to k = 7.
+    r = analyze(E121, 13)
+    assert r.overall.kind == "HasRationalPoint"
+    assert r.overall.detail["q"] == 11
+
+
 def test_cm_classify():
     assert cm_classify(E121) == -11
     assert cm_classify(W(0, 0, 1, 0, 0)) == -3          # j = 0

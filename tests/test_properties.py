@@ -170,7 +170,7 @@ def _torsion_setup(ell, ai, p):
     k = torsion_field_degree(base, p)
     F = Fq(ell, k)
     C = CurveOverFq(F, *[a % ell for a in ai])
-    _, poly = division_polynomial(C, p)
+    poly = division_polynomial(C, p)
     coeffs = [F.from_int(c) if isinstance(c, int) else c for c in poly]
     from artifact.fqcurves import _solve_y
 
