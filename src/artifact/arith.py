@@ -156,3 +156,34 @@ def squarefree_part(n: int) -> int:
         if e % 2:
             d *= q
     return d
+
+
+def discriminant(coeffs: list[int]) -> int:
+    """Discriminant (-1)^(n(n-1)/2) Res(f, f') / a_n of the integer
+    polynomial f = sum coeffs[i] x^i of degree n >= 1."""
+    f = list(coeffs)
+    while f and f[-1] == 0:
+        f.pop()
+    n = len(f) - 1
+    if n < 1:
+        raise ValueError("discriminant needs degree >= 1")
+    hi = f[::-1]
+    df = [i * c for i, c in enumerate(f)][:0:-1]
+    size = 2 * n - 1
+    rows = ([[0] * i + hi + [0] * (n - 2 - i) for i in range(n - 1)]
+            + [[0] * i + df + [0] * (n - 1 - i) for i in range(n)])
+    # Bareiss fraction-free elimination of the Sylvester matrix
+    sign, prev = (-1) ** (n * (n - 1) // 2), 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                rows[i][j] = (rows[i][j] * rows[k][k]
+                              - rows[i][k] * rows[k][j]) // prev
+        prev = rows[k][k]
+    return sign * rows[-1][-1] // f[-1]

@@ -112,19 +112,6 @@ class CurveOverFq:
         return b2, b4, b6, b8
 
     # -- points ---------------------------------------------------------------
-    def is_on_curve(self, P) -> bool:
-        if P is None:
-            return True
-        F = self.F
-        x, y = P
-        m = F.mul
-        lhs = F.add(m(y, y), F.add(m(self.a1, m(x, y)), m(self.a3, y)))
-        rhs = F.add(
-            F.add(m(x, m(x, x)), m(self.a2, m(x, x))),
-            F.add(m(self.a4, x), self.a6),
-        )
-        return lhs == rhs
-
     def neg(self, P):
         if P is None:
             return None
@@ -445,12 +432,12 @@ def _division_cache(C: CurveOverFq):
         b6 = (a3 * a3 + 4 * a6) % ell
         b8 = (a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4
               + a2 * a3 * a3 - a4 * a4) % ell
-        B = flx_trim([b6, 2 * b4 % ell, b2, 4])
-        f3 = flx_trim([b8, 3 * b6 % ell, 3 * b4 % ell, b2, 3])
+        B = flx_trim([b6, 2 * b4 % ell, b2, 4 % ell])
+        f3 = flx_trim([b8, 3 * b6 % ell, 3 * b4 % ell, b2, 3 % ell])
         f4 = flx_trim([
             (b4 * b8 - b6 * b6) % ell,
             (b2 * b8 - b4 * b6) % ell,
-            10 * b8 % ell, 10 * b6 % ell, 5 * b4 % ell, b2, 2,
+            10 * b8 % ell, 10 * b6 % ell, 5 * b4 % ell, b2, 2 % ell,
         ])
         cache = {-1: [ell - 1], 0: [0], 1: [1], 2: [1], 3: f3, 4: f4}
         C._divpolys = (B, cache)

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-import sympy
-
 from .arith import factorize, is_prime, legendre, valuation
 from .localsolver import (
     EMPTY,
@@ -109,13 +107,16 @@ class GlobalReport:
 
 
 # ---------------------------------------------------------------------------
-# division polynomials over Q and kernel-polynomial certification
+# division polynomials over Q and kernel-polynomial certification; the only
+# sympy user, imported at call time so that the local commands never load it
 # ---------------------------------------------------------------------------
 
 def _division_data(m: WeierstrassModel, n: int):
     """(f_polys, B, x) with f_0..f_n univariate sympy Polys over QQ such
     that the k-division polynomial is f_k for odd k and f_k * psi2 for
     even k, where psi2^2 = B = 4x^3 + b2 x^2 + 2 b4 x + b6."""
+    import sympy
+
     x = sympy.Symbol("x")
     b2, b4, b6, b8 = m.b_invariants()
     B = sympy.Poly(4 * x ** 3 + b2 * x ** 2 + 2 * b4 * x + b6, x)
@@ -147,6 +148,8 @@ def _division_data(m: WeierstrassModel, n: int):
 
 def _x_multiple(m: WeierstrassModel, j: int, f, B, x):
     """(num, den): x(jP) = num(x)/den(x) as univariate sympy Polys."""
+    import sympy
+
     fj, fp, fm = f[j], f[j + 1], f[j - 1]
     X = sympy.Poly(x, x)
     if j % 2:
@@ -162,6 +165,8 @@ def _certify_kernel(m: WeierstrassModel, q: int, h) -> bool:
     """True if the monic degree-(q-1)/2 factor h of the q-division
     polynomial is stable under the multiplication-by-j maps, i.e. is the
     kernel polynomial of a rational q-isogeny."""
+    import sympy
+
     f, B, x = _division_data(m, (q + 1) // 2 + 1)
     dh = h.degree()
     for j in range(2, (q - 1) // 2 + 1):
@@ -187,6 +192,8 @@ def _certify_kernel(m: WeierstrassModel, q: int, h) -> bool:
 
 def _proven_isogeny(m: WeierstrassModel, q: int) -> Optional[IsogenyEvidence]:
     """Search for a certified rational kernel polynomial of degree (q-1)/2."""
+    import sympy
+
     x = sympy.Symbol("x")
     if q == 2:
         b2, b4, b6, _ = m.b_invariants()
@@ -337,13 +344,6 @@ def hasse_cm(m: WeierstrassModel, p: int,
 # conditional classification for non-CM curves
 # ---------------------------------------------------------------------------
 
-def _has_rational_two_torsion(m: WeierstrassModel) -> bool:
-    x = sympy.Symbol("x")
-    b2, b4, b6, _ = m.b_invariants()
-    B = sympy.Poly(4 * x ** 3 + b2 * x ** 2 + 2 * b4 * x + b6, x)
-    return any(r.is_rational for r in sympy.roots(B, x))
-
-
 def frey_mazur_classify(m: WeierstrassModel, p: int) -> str:
     """Conditional counterexample classification for p > 17, assuming the
     twisted cover is already known to be everywhere locally soluble.
@@ -390,7 +390,7 @@ def frey_mazur_classify(m: WeierstrassModel, p: int) -> str:
     # (2)
     if p % 8 == 5:
         prof = _pot_good_defect(2)
-        if prof is not None and not _has_rational_two_torsion(m):
+        if prof is not None and _proven_isogeny(m, 2) is None:
             t = prof.tilde
             if prof.e in (8, 24) or (
                     prof.e == 4 and t.c4_tilde % 8 == (5 * t.delta_tilde) % 8):

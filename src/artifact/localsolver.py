@@ -56,6 +56,7 @@ from .fqcurves import (
     trace_of_frobenius,
 )
 from .fq import Fq
+from .padic import PrecisionError, with_unramified_roots
 from .semistability import UNDETERMINED as DEFECT_UNDETERMINED
 from .semistability import defect, e3_twist, good_twist
 from .weierstrass import (
@@ -457,104 +458,21 @@ def compare_symplectic(m1: WeierstrassModel, m2: WeierstrassModel,
 
 
 # ---------------------------------------------------------------------------
-# rational 3-torsion over Q_ell
+# rational 3-torsion over Q_ell: the Z_ell-roots of the 3-division quartic
+# come from padic's root finder on the k = 1 ring Z/ell^N; its precision
+# loop retries whenever the square-class test below runs out of digits.
 # ---------------------------------------------------------------------------
-
-def _poly_int_eval(coeffs: list[int], x: int) -> int:
-    v = 0
-    for c in reversed(coeffs):
-        v = v * x + c
-    return v
-
-
-def _poly_int_disc(coeffs: list[int]) -> int:
-    import sympy
-
-    T = sympy.Symbol("T")
-    return int(sympy.discriminant(sympy.Poly(list(reversed(coeffs)), T)))
-
-
-class _Escalate(Exception):
-    pass
-
-
-def _poly_compose_linear(f: list[int], r: int, ell: int) -> list[int]:
-    """Coefficients of g(t) = f(r + ell*t)."""
-    g = [0] * len(f)
-    cur = [1]
-    for co in f:
-        for j, c in enumerate(cur):
-            g[j] += co * c
-        nxt = [0] * (len(cur) + 1)
-        for j, c in enumerate(cur):
-            nxt[j] += c * r
-            nxt[j + 1] += c * ell
-        cur = nxt
-    return g
-
-
-def _newton_lift(coeffs: list[int], r: int, ell: int, N: int):
-    """Refine an approximate root satisfying v(f(r)) > 2 v(f'(r)) to one
-    with v(f(r)) >= N + 2 v(f'(r)); returns (root mod ell^big, precision)
-    where precision bounds the number of reliable digits of the root."""
-    deriv = [i * c for i, c in enumerate(coeffs)][1:]
-    d = valuation(_poly_int_eval(deriv, r), ell)
-    big = ell ** (N + 2 * d + 2)
-    t = r % big
-    for _ in range(200):
-        fval = _poly_int_eval(coeffs, t) % big
-        if fval % (ell ** (N + 2 * d)) == 0:
-            return t, N + d
-        dval = _poly_int_eval(deriv, t)
-        unit = (dval // (ell ** d)) % big
-        t = (t - (fval // (ell ** d)) * pow(unit, -1, big)) % big
-    raise _Escalate  # pragma: no cover - Newton always converges here
-
-
-def _zl_roots(coeffs: list[int], ell: int, N: int):
-    """Roots of an integer polynomial in Z_ell, found by recursive
-    digit-by-digit isolation with content stripping.  Returns a list of
-    (approximate root, digits of precision) pairs; raises _Escalate when
-    an ambiguous branch survives to the depth cap."""
-    out = []
-
-    def rec(f: list[int], prefix: int, k: int):
-        if k > N:
-            raise _Escalate
-        # strip the ell-power content so the reduction mod ell is nonzero
-        c = min((valuation(co, ell) for co in f if co), default=0)
-        f = [co // (ell ** c) for co in f]
-        fbar = [co % ell for co in f]
-        if not any(fbar):  # pragma: no cover - impossible after stripping
-            raise _Escalate
-        deriv = [i * co for i, co in enumerate(f)][1:]
-        for r in range(ell):
-            if _poly_int_eval(fbar, r) % ell:
-                continue
-            fval = _poly_int_eval(f, r)
-            dval = _poly_int_eval(deriv, r)
-            vf = valuation(fval, ell) if fval else 10 ** 9
-            vd = valuation(dval, ell) if dval else 10 ** 9
-            if vf > 2 * vd:
-                root, prec = _newton_lift(f, r, ell, N)
-                out.append((prefix + root * ell ** k, k + prec))
-            else:
-                rec(_poly_compose_linear(f, r, ell),
-                    prefix + r * ell ** k, k + 1)
-
-    rec(list(coeffs), 0, 0)
-    return out
-
 
 def _square_class_zl(value: int, ell: int, known_prec: int):
     """True/False: is a nonzero ell-adic integer known to this precision a
-    square in Q_ell?  Raises _Escalate when the precision is insufficient."""
+    square in Q_ell?  Raises PrecisionError when the precision is
+    insufficient."""
     slack = 3 if ell == 2 else 1
     if value % (ell ** known_prec) == 0 or value == 0:
-        raise _Escalate
+        raise PrecisionError("root known to too few digits")
     v = valuation(value, ell)
     if v + slack > known_prec:
-        raise _Escalate
+        raise PrecisionError("root known to too few digits")
     if v % 2 == 1:
         return False
     u = value // (ell ** v)
@@ -568,27 +486,26 @@ def _three_torsion_status(m: WeierstrassModel, ell: int) -> str:
     with both coordinates in Q_ell?
 
     Works with the monic quartic g(y) = y^4 + b2 y^3 + 9 b4 y^2
-    + 27 b6 y + 27 b8 (y = 3x), whose Q_ell-roots are exactly integral,
-    and tests the y-coordinate quadratic via the square class of
+    + 27 b6 y + 27 b8 (y = 3x), whose Q_ell-roots are exactly its
+    Z_ell-roots, and tests the y-coordinate quadratic via the square class of
     3 * (4 y0^3 + 3 b2 y0^2 + 18 b4 y0 + 27 b6) = 81 * disc / 4.
     """
     b2, b4, b6, b8 = m.b_invariants()
     g = [27 * b8, 27 * b6, 9 * b4, b2, 1]
-    dsc = _poly_int_disc(g)
-    base_N = 2 * (valuation(dsc, ell) if dsc else 12) + 3
-    for attempt in range(3):
-        N = base_N * (2 ** attempt)
-        try:
-            roots = _zl_roots(g, ell, N)
-            for y0, prec in roots:
-                val = (12 * y0 ** 3 + 9 * b2 * y0 ** 2
-                       + 54 * b4 * y0 + 81 * b6) % (ell ** prec)
-                if _square_class_zl(val, ell, prec):
-                    return "Yes"
-            return "No"
-        except _Escalate:
-            continue
-    return UNDETERMINED
+
+    def any_square(R, roots):
+        for root in roots:
+            y0, prec = root.value[0], root.precision
+            val = (12 * y0 ** 3 + 9 * b2 * y0 ** 2
+                   + 54 * b4 * y0 + 81 * b6) % (ell ** prec)
+            if _square_class_zl(val, ell, prec):
+                return "Yes"
+        return "No"
+
+    try:
+        return with_unramified_roots(g, ell, any_square, k=1)
+    except PrecisionError:
+        return UNDETERMINED
 
 
 def three_torsion_point_exists(m: WeierstrassModel, ell: int) -> bool:

@@ -1,20 +1,23 @@
 """Root counting for integer polynomials over the maximal unramified
-extension of Q_ell (ell = 2 or 3 in practice).
+extension of Q_ell (ell = 2 or 3 for the semistability defect), and over
+Q_ell itself.
 
 Every root of a monic integer polynomial of degree <= 4 that lies in the
 maximal unramified extension generates an unramified extension of degree
 <= 4, so it already lives in the ring of Witt vectors of F_{ell^12}.  We
 model that ring as Z[t]/(h(t), ell^N) for the fixed degree-12 modulus h
 and count roots by residue analysis plus digit lifting.
+
+With k = 1 the ring is Z/ell^N, so the roots found are exactly the
+Q_ell-roots (integral, as the leading coefficient is a unit); the
+3-torsion test of ``localsolver`` uses this for any ell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import sympy
-
-from .arith import valuation
+from .arith import discriminant, valuation
 from .fq import Fq, poly_roots, poly_root_multiplicity, poly_trim
 
 
@@ -221,8 +224,7 @@ def with_unramified_roots(int_coeffs: list[int], ell: int, fn, k: int = 12):
     """Run fn(ring, roots) at increasing precision until it stops raising
     PrecisionError.  Lets callers do further exact tests on root values.
     """
-    x = sympy.Symbol("x")
-    disc = int(sympy.Poly(list(reversed(int_coeffs)), x).discriminant())
+    disc = discriminant(int_coeffs)
     if disc == 0:
         raise ValueError("polynomial must be squarefree")
     if int_coeffs[-1] % ell == 0:

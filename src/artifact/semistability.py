@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arith import legendre, valuation
 from .padic import PrecisionError, with_unramified_roots
@@ -100,6 +101,27 @@ def _defect_3(m: WeierstrassModel) -> int | str:
     return e if e in (2, 3, 4, 6, 12) else UNDETERMINED
 
 
+def _poly_gcd(f: list[int], g: list[int]) -> list[int]:
+    """Monic gcd over Q of two nonzero integer polynomials (little-endian),
+    scaled by the lcm of its denominators."""
+    def trim(h):
+        while h and h[-1] == 0:
+            h.pop()
+        return h
+
+    a, b = trim([Fraction(c) for c in f]), trim([Fraction(c) for c in g])
+    while b:
+        while len(a) >= len(b):
+            q = a[-1] / b[-1]
+            for i, c in enumerate(b, len(a) - len(b)):
+                a[i] -= q * c
+            trim(a)
+        a, b = b, a
+    a = [c / a[-1] for c in a]
+    denom = math.lcm(*(c.denominator for c in a))
+    return [int(c * denom) for c in a]
+
+
 def _defect_2(m: WeierstrassModel) -> int | str:
     """Defect at 2 from L = Q_2^un(E[3]).
 
@@ -143,21 +165,10 @@ def _defect_2(m: WeierstrassModel) -> int | str:
         # The partition discriminants z^2 - 4d and (a^2 - 4b) + 4z can be
         # exactly zero (then the tested quantity is the square 0); record
         # which resolvent roots make them vanish, as factors of a gcd.
-        import sympy
-
-        T = sympy.Symbol("T")
-        res_poly = sympy.Poly(list(reversed(resolvent)), T)
-        gcds = [
-            sympy.gcd(res_poly, sympy.Poly([1, 0, -4 * d], T)),
-            sympy.gcd(res_poly, sympy.Poly([4, a * a - 4 * b], T)),
-        ]
         gcd_coeffs = []
-        for g in gcds:
-            if g.degree() < 1:
-                gcd_coeffs.append(None)
-                continue
-            denom = sympy.lcm([sympy.fraction(co)[1] for co in g.all_coeffs()])
-            gcd_coeffs.append([int(co * denom) for co in reversed(g.all_coeffs())])
+        for other in ([-4 * d, 0, 1], [a * a - 4 * b, 4]):
+            g = _poly_gcd(resolvent, other)
+            gcd_coeffs.append(g if len(g) > 1 else None)
 
         def classify(Rr, zroots):
             def vanishes_exactly(z, which):

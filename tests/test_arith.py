@@ -1,7 +1,10 @@
 import pytest
+import sympy
+from hypothesis import example, given, strategies as st
 
 from artifact.arith import (
     Factorization,
+    discriminant,
     factorize,
     is_prime,
     is_square,
@@ -76,3 +79,41 @@ def test_squarefree_part():
     assert squarefree_part(11 * 121) == 11
     with pytest.raises(ValueError):
         squarefree_part(-12)
+
+
+def _sympy_disc(coeffs):
+    x = sympy.Symbol("x")
+    return int(sympy.Poly(list(reversed(coeffs)), x).discriminant())
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=4),
+       st.integers(-9, 9).filter(bool), st.booleans())
+@example([3], 2, False)                 # degree 1
+@example([0, 0, 0], 1, False)           # x^3: repeated root 0
+@example([-1, 0, 0, 0], 1, False)       # x^4 - 1
+def test_discriminant_matches_sympy(lower, lead, zero_constant):
+    # sympy is the reference here only; the library does not use it
+    coeffs = [0, *lower[1:]] if zero_constant else list(lower)
+    coeffs.append(lead)
+    assert discriminant(coeffs) == _sympy_disc(coeffs)
+
+
+@given(st.integers(-20, 20), st.lists(st.integers(-20, 20), min_size=1, max_size=3),
+       st.integers(-9, 9).filter(bool))
+def test_discriminant_zero_on_repeated_factor(r, cofactor, lead):
+    # (x - r)^2 * (lead x^k + ...) with a non-unit leading coefficient
+    x = sympy.Symbol("x")
+    f = sympy.Poly((x - r) ** 2 * sum(c * x ** i for i, c in
+                                      enumerate([*cofactor, lead])), x)
+    coeffs = [int(c) for c in reversed(f.all_coeffs())]
+    assert discriminant(coeffs) == 0 == _sympy_disc(coeffs)
+
+
+def test_discriminant_known_values():
+    assert discriminant([5, 3]) == 1                    # linear
+    assert discriminant([-4, 0, 1]) == 16               # x^2 - 4
+    assert discriminant([1, -3, 2]) == 1                # 2x^2 - 3x + 1
+    assert discriminant([-2, 0, 0, 1]) == -108          # x^3 - 2
+    assert discriminant([1, 1, 0, 1]) == -31            # x^3 + x + 1
+    with pytest.raises(ValueError):
+        discriminant([7])

@@ -133,6 +133,25 @@ def test_batch_mode(tmp_path, capsys):
     assert json.loads(lines[2])["overall"]["kind"] == "HasseCounterexample"
 
 
+def test_local_commands_do_not_load_sympy():
+    # sympy is needed only for analyze's isogeny certification
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    script = """
+import sys
+from artifact.cli import main
+main(["local", "--curve", "27a1", "--p", "7", "--ell", "3"])
+main(["defect", "--curve", "96a1", "--ell", "2"])
+main(["compare", "--a", "[5,0,25,0,0]", "--b", "[0,0,0,0,625]",
+      "--ell", "5", "--p", "7"])
+main(["genus", "--p", "11"])
+assert "sympy" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert '"criterion":"e3-tame"' in proc.stdout
+
+
 def test_console_script_entry():
     # the child imports artifact from the same path as this process
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from artifact.fq import Fq, poly_roots
@@ -19,6 +21,7 @@ from artifact.fqcurves import (
     trace_of_frobenius,
     weil_pairing,
 )
+from artifact.fqcurves import SingularCurveError, _division_cache
 
 
 def test_count_fixture_f4():
@@ -150,3 +153,22 @@ def test_mat_order():
     assert mat_order(((1, 0), (0, 1)), p) == 1
     assert mat_order(((1, 1), (0, 1)), p) == 13
     assert mat_order(((2, 0), (0, 2)), p) == 12
+
+
+def test_division_polynomials_reduced_mod_ell():
+    # the leading constants 4 (of B), 3 (of f_3) and 2 (of f_4) vanish
+    # in characteristic 2 and 3 and must not be stored unreduced
+    C = CurveOverFq(Fq(2, 1), 1, 0, 1, 0, 1)
+    assert division_polynomial(C, 3) == [1, 1, 1, 1, 1]
+    assert _division_cache(C)[0] == [1, 0, 1]
+    for ell in (2, 3):
+        checked = 0
+        for ai in itertools.product(range(ell), repeat=5):
+            try:
+                C = CurveOverFq(Fq(ell, 1), *ai)
+            except SingularCurveError:
+                continue
+            for n in range(1, 9):
+                assert all(0 <= c < ell for c in division_polynomial(C, n))
+            checked += 1
+        assert checked > 0

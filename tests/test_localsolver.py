@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from artifact.localsolver import (
@@ -141,6 +143,33 @@ def test_exceptional_prime():
         assert exceptional_prime(found, 5) == 11
 
 
+def test_three_torsion_at_multiplicative_two_matches_tate_curve():
+    # E is a Tate curve over Q_2, split iff -c4*c6 = 1 mod 8 (c4, c6 are
+    # units).  Split: E(Q_2) = Q_2^*/q^Z, whose 3-torsion is nontrivial iff
+    # q is a cube, i.e. 3 | v(q) = v(Delta), since mu_3 is not in Q_2 (-3 is
+    # not a square mod 8).  Nonsplit: mu_3 lies in the norm-one units of
+    # Q_4, so a 3-torsion point always exists.  Good reduction cannot tell
+    # the mod-8 square test from a mod-4 one; this oracle does.
+    from artifact.arith import valuation
+    from artifact.weierstrass import ReductionKind, minimal_model_at, reduction_kind
+
+    seen = set()
+    for a1, a2, a3, a4, a6 in itertools.product((0, 1), (-1, 0, 1), (0, 1),
+                                                range(-4, 5), range(-4, 5)):
+        try:
+            m = W(a1, a2, a3, a4, a6)
+        except ValueError:
+            continue
+        mm = minimal_model_at(m, 2)
+        if reduction_kind(mm, 2) != ReductionKind.MULTIPLICATIVE:
+            continue
+        split = (-mm.c4() * mm.c6()) % 8 == 1
+        expected = not split or valuation(mm.discriminant(), 2) % 3 == 0
+        assert three_torsion_point_exists(m, 2) == expected, m.ainvs()
+        seen.add((split, expected))
+    assert seen == {(False, True), (True, False), (True, True)}
+
+
 def test_three_torsion_fixtures():
     assert three_torsion_point_exists(W(0, 0, 1, 0, 0), 5)    # (0,0) order 3
     assert three_torsion_point_exists(W(0, 0, 0, 0, 4), 7)    # (0,2) order 3
@@ -149,28 +178,31 @@ def test_three_torsion_fixtures():
 
 def test_three_torsion_matches_point_count_oracle():
     # for good ell not dividing 3*Delta, a Q_ell 3-torsion point exists
-    # iff 3 divides the F_ell point count
+    # iff 3 divides the F_ell point count; at ell = 2 the models
+    # y^2 + y = x^3 + a4 x + a6 have good reduction and exercise the
+    # mod-8 square test
     from artifact.fq import Fq
     from artifact.fqcurves import CurveOverFq, count_points
     from artifact.weierstrass import ReductionKind, reduction_kind
 
-    checked = 0
-    for ell in (5, 7, 11, 13):
+    checked = {}
+    for ell in (2, 5, 7, 11, 13):
+        a3 = 1 if ell == 2 else 0
         for a4 in range(-3, 4):
             for a6 in range(-3, 4):
                 try:
-                    m = W(0, 0, 0, a4, a6)
+                    m = W(0, 0, a3, a4, a6)
                 except Exception:
                     continue
                 if m.discriminant() % ell == 0 or ell == 3:
                     continue
                 if reduction_kind(m, ell) != ReductionKind.GOOD:
                     continue
-                n = count_points(CurveOverFq(Fq(ell, 1), 0, 0, 0,
+                n = count_points(CurveOverFq(Fq(ell, 1), 0, 0, a3,
                                              a4 % ell, a6 % ell))
                 assert three_torsion_point_exists(m, ell) == (n % 3 == 0)
-                checked += 1
-    assert checked > 100
+                checked[ell] = checked.get(ell, 0) + 1
+    assert sum(checked.values()) > 100 and checked[2] == 49
 
 
 def test_compare_symplectic_identity():

@@ -1,8 +1,10 @@
 import pytest
+import sympy
 
 from artifact.corpus import corpus
 from artifact.semistability import (
     WrongReductionKindError,
+    _poly_gcd,
     defect,
     e3_twist,
     good_twist,
@@ -89,3 +91,33 @@ def test_tilde_congruences_from_corpus_notes():
     assert t.c6_tilde % 3 == 1 and t.delta_tilde % 3 == 2
     t = _prof((0, 0, 0, -21, -40), 3).tilde      # 25920v1 substitute
     assert t.c6_tilde % 3 == 2 and t.delta_tilde % 3 == 2
+
+
+T = sympy.Symbol("T")
+
+
+@pytest.mark.parametrize("shared", [
+    T - 3, 2 * T + 1,                    # a shared linear factor
+    T ** 2 + 2 * T - 7, 3 * T ** 2 + 1,  # a shared quadratic factor
+    sympy.Integer(1),                    # no shared factor
+])
+@pytest.mark.parametrize("f_rest, g_rest", [
+    (T - 1, 4 * T + 3),
+    (T ** 2 + T + 1, 2 * T ** 2 - 5),
+    (T + 4, T ** 3 - 2 * T + 9),
+])
+def test_poly_gcd_matches_sympy(shared, f_rest, g_rest):
+    # the inputs are primitive, so sympy's gcd over ZZ is primitive too and
+    # equals the monic gcd over QQ cleared of its denominators
+    f = sympy.Poly(shared * f_rest, T)
+    g = sympy.Poly(shared * g_rest, T)
+    ref = sympy.gcd(f, g)
+    denom = sympy.lcm([sympy.fraction(co)[1] for co in ref.all_coeffs()])
+    expected = [int(co * denom) for co in reversed(ref.all_coeffs())]
+
+    def ints(P):
+        return [int(c) for c in reversed(P.all_coeffs())]
+
+    assert _poly_gcd(ints(f), ints(g)) == expected
+    assert _poly_gcd(ints(g), ints(f)) == expected
+    assert len(expected) - 1 == sympy.degree(shared, T)
