@@ -1,9 +1,11 @@
 """Arithmetic in small finite fields F_{ell^k} and polynomials over them.
 
 Fields are represented in a polynomial basis over F_ell with a fixed,
-deterministically chosen irreducible modulus, so results are reproducible
+deterministically chosen irreducible modulus h, so results are reproducible
 across runs.  Elements are tuples of ints of length k (little-endian
-coefficients).
+coefficients).  The ring operations reduce coefficients modulo ``mod``,
+which is ell for a field; ``padic.Wring`` sets it to ell^N, so the same
+code is also the ring (Z/ell^N)[t]/(h) of truncated Witt vectors.
 
 Polynomials come in two representations, each with one owner:
 
@@ -177,11 +179,14 @@ class Fq:
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree k")
             self.modulus = modulus
-        # packed-integer multiplication support: coefficients of a product
-        # before reduction are bounded by k*(ell-1)^2
-        width_bits = (self.k * (self.ell - 1) ** 2).bit_length()
-        self._width = (width_bits + 7) // 8  # bytes per coefficient
+        self.mod = ell  # coefficient modulus of the ring operations
+        self._set_width()
         self._mod_tail = [(i, c) for i, c in enumerate(self.modulus[:-1]) if c]
+
+    def _set_width(self):
+        """Bytes per packed coefficient: before reduction the coefficients
+        of a product are bounded by k*(mod-1)^2."""
+        self._width = ((self.k * (self.mod - 1) ** 2).bit_length() + 7) // 8
 
     def _pack(self, a) -> int:
         w = self._width
@@ -198,7 +203,7 @@ class Fq:
         return (1,) + (0,) * (self.k - 1)
 
     def from_int(self, n: int):
-        return (n % self.ell,) + (0,) * (self.k - 1)
+        return (n % self.mod,) + (0,) * (self.k - 1)
 
     def gen(self):
         if self.k == 1:
@@ -219,26 +224,26 @@ class Fq:
 
     # -- arithmetic -----------------------------------------------------------
     def add(self, a, b):
-        return tuple((x + y) % self.ell for x, y in zip(a, b))
+        return tuple((x + y) % self.mod for x, y in zip(a, b))
 
     def sub(self, a, b):
-        return tuple((x - y) % self.ell for x, y in zip(a, b))
+        return tuple((x - y) % self.mod for x, y in zip(a, b))
 
     def neg(self, a):
-        return tuple((-x) % self.ell for x in a)
+        return tuple((-x) % self.mod for x in a)
 
     def mul(self, a, b):
-        ell, k = self.ell, self.k
+        mod, k = self.mod, self.k
         if k == 1:
-            return ((a[0] * b[0]) % ell,)
+            return ((a[0] * b[0]) % mod,)
         # Kronecker substitution: one big-integer multiply, then unpack.
         w = self._width
         prod = self._pack(a) * self._pack(b)
         raw = prod.to_bytes((2 * k - 1) * w, "little")
         if w == 1:
-            res = [c % ell for c in raw]
+            res = [c % mod for c in raw]
         else:
-            res = [int.from_bytes(raw[i * w:(i + 1) * w], "little") % ell
+            res = [int.from_bytes(raw[i * w:(i + 1) * w], "little") % mod
                    for i in range(2 * k - 1)]
         tail = self._mod_tail
         for i in range(2 * k - 2, k - 1, -1):
@@ -247,12 +252,12 @@ class Fq:
                 res[i] = 0
                 base = i - k
                 for j, fj in tail:
-                    res[base + j] = (res[base + j] - c * fj) % ell
+                    res[base + j] = (res[base + j] - c * fj) % mod
         return tuple(res[:k])
 
     def smul(self, c: int, a):
-        c %= self.ell
-        return tuple((c * x) % self.ell for x in a)
+        c %= self.mod
+        return tuple((c * x) % self.mod for x in a)
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)

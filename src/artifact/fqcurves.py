@@ -36,6 +36,7 @@ from .fq import (
     flx_powmod,
     flx_sub,
     flx_trim,
+    poly_eval,
     poly_roots,
 )
 
@@ -389,18 +390,22 @@ def _count_bsgs(C: CurveOverFq) -> int:
     raise RuntimeError("point counting did not converge")  # pragma: no cover
 
 
-def count_points(C: CurveOverFq, naive_limit: int = 10**7) -> int:
+#: Largest field size counted by enumeration; larger fields use BSGS.
+NAIVE_COUNT_LIMIT = 10**7
+
+
+def count_points(C: CurveOverFq) -> int:
     """Exact number of points including infinity."""
     q = C.F.q
-    n = _count_naive(C) if q <= naive_limit else _count_bsgs(C)
+    n = _count_naive(C) if q <= NAIVE_COUNT_LIMIT else _count_bsgs(C)
     a = q + 1 - n
     if a * a > 4 * q:  # pragma: no cover - internal consistency
         raise HasseViolationError(f"count {n} violates the Hasse bound")
     return n
 
 
-def trace_of_frobenius(C: CurveOverFq, naive_limit: int = 10**7) -> int:
-    return C.F.q + 1 - count_points(C, naive_limit)
+def trace_of_frobenius(C: CurveOverFq) -> int:
+    return C.F.q + 1 - count_points(C)
 
 
 def frob_disc(a: int, ell: int, f: int) -> int:
@@ -657,10 +662,7 @@ def _unipotent_u_class(C: CurveOverFq, p: int, lam: int) -> int:
     # reference unipotent examples land in the documented square classes
     sq_poly, nonsq_poly = _zeta_class_polys(ell, p)
     for cls, ints in ((1, sq_poly), (-1, nonsq_poly)):
-        val = L.zero()
-        for c in reversed(ints):
-            val = L.add(L.mul(val, z0), L.from_int(c))
-        if L.is_zero(val):
+        if L.is_zero(poly_eval(L, [L.from_int(c) for c in ints], z0)):
             return cls
     raise RuntimeError(
         "pairing value is not a primitive p-th root")  # pragma: no cover

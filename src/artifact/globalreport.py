@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import factorize, is_prime, legendre, valuation
+from .arith import factorize, is_prime, legendre
 from .localsolver import (
     EMPTY,
-    NON_EMPTY,
     OUT_OF_SCOPE,
     UNDETERMINED,
     FinitePrime,
@@ -223,15 +222,13 @@ def _proven_isogeny(m: WeierstrassModel, q: int) -> Optional[IsogenyEvidence]:
     return None
 
 
-def _excluded_isogeny(m: WeierstrassModel, q: int,
-                      scan_bound: int = EXCLUSION_SCAN_BOUND
-                      ) -> Optional[IsogenyEvidence]:
+def _excluded_isogeny(m: WeierstrassModel, q: int) -> Optional[IsogenyEvidence]:
     """A good prime ell with (Delta_ell / q) = -1 rules out a rational
     (indeed Q_ell-rational) degree-q isogeny."""
     from .fq import Fq
     from .fqcurves import CurveOverFq, trace_of_frobenius
 
-    for ell in range(2, scan_bound + 1):
+    for ell in range(2, EXCLUSION_SCAN_BOUND + 1):
         if not is_prime(ell) or ell == q:
             continue
         mm = minimal_model_at(m, ell)

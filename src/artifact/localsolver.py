@@ -49,7 +49,6 @@ from .fqcurves import (
     BOTH,
     CurveOverFq,
     frob_disc,
-    frobenius_module,
     multiplicative_lift_possible,
     residual_module_search,
     torsion_field_degree,
@@ -64,7 +63,6 @@ from .weierstrass import (
     WeierstrassModel,
     minimal_model_at,
     reduction_kind,
-    tilde_invariants,
 )
 
 NON_EMPTY = "NonEmpty"

@@ -5,8 +5,10 @@ Q_ell itself.
 Every root of a monic integer polynomial of degree <= 4 that lies in the
 maximal unramified extension generates an unramified extension of degree
 <= 4, so it already lives in the ring of Witt vectors of F_{ell^12}.  We
-model that ring as Z[t]/(h(t), ell^N) for the fixed degree-12 modulus h
-and count roots by residue analysis plus digit lifting.
+model that ring as (Z/ell^N)[t]/(h(t)) for the fixed degree-12 modulus h
+of ``fq``: ``Wring`` is an ``Fq`` whose coefficients live mod ell^N, and
+adds only the ell-adic operations.  Roots are counted by residue analysis
+plus digit lifting.
 
 With k = 1 the ring is Z/ell^N, so the roots found are exactly the
 Q_ell-roots (integral, as the leading coefficient is a unit); the
@@ -18,51 +20,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import discriminant, valuation
-from .fq import Fq, poly_roots, poly_root_multiplicity, poly_trim
+from .fq import Fq, poly_eval, poly_roots, poly_root_multiplicity, poly_trim
 
 
 class PrecisionError(ArithmeticError):
     pass
 
 
-class Wring:
-    """Unramified extension ring W(F_{ell^k}) truncated at ell^N."""
+class Wring(Fq):
+    """Unramified extension ring W(F_{ell^k}) truncated at ell^N: the
+    ``Fq`` ring operations with coefficients mod ell^N instead of ell."""
 
     def __init__(self, ell: int, k: int, N: int):
-        self.ell = ell
-        self.k = k
+        super().__init__(ell, k)
         self.N = N
         self.mod = ell**N
-        self.F = Fq(ell, k)
-        self.h = self.F.modulus  # monic, lifts to Z coefficients as-is
-
-    def zero(self):
-        return (0,) * self.k
-
-    def one(self):
-        return (1,) + (0,) * (self.k - 1)
-
-    def from_int(self, n: int):
-        return (n % self.mod,) + (0,) * (self.k - 1)
-
-    def lift(self, a):
-        """Lift of an F_{ell^k} element (same coefficient tuple)."""
-        return tuple(int(c) % self.mod for c in a)
-
-    def add(self, a, b):
-        return tuple((x + y) % self.mod for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.mod for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.mod for x in a)
-
-    def smul(self, c: int, a):
-        return tuple((c * x) % self.mod for x in a)
+        self._set_width()
+        self.F = Fq(ell, k)  # the residue field
 
     def mul(self, a, b):
-        k, h, mod = self.k, self.h, self.mod
+        # Schoolbook: Fq's Kronecker packing measured slower at these widths.
+        k, h, mod = self.k, self.modulus, self.mod
         res = [0] * (2 * k - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -75,15 +53,6 @@ class Wring:
                 for j in range(k + 1):
                     res[i - k + j] = (res[i - k + j] - c * h[j]) % mod
         return tuple(res[:k])
-
-    def pow(self, a, n: int):
-        res = self.one()
-        while n:
-            if n & 1:
-                res = self.mul(res, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return res
 
     def residue(self, a):
         """Image in F_{ell^k}."""
@@ -102,10 +71,11 @@ class Wring:
             raise ValueError("not divisible")
         return tuple(x // self.ell**power for x in a)
 
-    def inv_unit(self, a):
+    def inv(self, a):
+        """Inverse of a unit, Newton-lifted from the residue field."""
         if self.val(a) != 0:
             raise ZeroDivisionError("not a unit")
-        y = self.lift(self.F.inv(self.residue(a)))
+        y = self.F.inv(self.residue(a))
         # Newton iteration y <- y(2 - ay)
         for _ in range(self.N.bit_length() + 1):
             y = self.mul(y, self.sub(self.from_int(2), self.mul(a, y)))
@@ -140,13 +110,6 @@ class Wring:
         return all((x - y) % 4 == 0 for x, y in zip(u, z))
 
 
-def _poly_eval(R: Wring, coeffs, x):
-    res = R.zero()
-    for c in reversed(coeffs):
-        res = R.add(R.mul(res, x), c)
-    return res
-
-
 def _poly_shift(R: Wring, coeffs, alpha):
     """Coefficients of P(alpha + w) via iterated synthetic division."""
     work = list(coeffs)
@@ -174,8 +137,8 @@ class UnramifiedRoot:
     precision: int  # valid modulo ell^precision
 
 
-def _count_roots(R: Wring, coeffs, depth: int, max_depth: int) -> list[UnramifiedRoot]:
-    if depth > max_depth:
+def _count_roots(R: Wring, coeffs, depth: int) -> list[UnramifiedRoot]:
+    if depth > R.N - 6:
         raise PrecisionError("digit lifting exceeded precision budget")
     # strip content
     mu = min(R.val(c) for c in coeffs)
@@ -187,22 +150,20 @@ def _count_roots(R: Wring, coeffs, depth: int, max_depth: int) -> list[Unramifie
     Fpoly = poly_trim(R.F, Fbar)
     roots = []
     for alpha in poly_roots(R.F, Fpoly):
-        m = poly_root_multiplicity(R.F, Fpoly, alpha)
-        ahat = R.lift(alpha)
-        if m == 1:
+        if poly_root_multiplicity(R.F, Fpoly, alpha) == 1:
             # Hensel: refine by Newton iteration
             deriv = [R.smul(i, c) for i, c in enumerate(coeffs)][1:]
-            x = ahat
+            x = alpha
             for _ in range(R.N.bit_length() + 2):
-                fx = _poly_eval(R, coeffs, x)
-                dfx = _poly_eval(R, deriv, x)
-                x = R.sub(x, R.mul(fx, R.inv_unit(dfx)))
+                fx = poly_eval(R, coeffs, x)
+                dfx = poly_eval(R, deriv, x)
+                x = R.sub(x, R.mul(fx, R.inv(dfx)))
             roots.append(UnramifiedRoot(x, R.N - depth))
         else:
-            shifted = _poly_shift(R, coeffs, ahat)
-            scaled = [R.smul(R.ell**j % R.mod, c) for j, c in enumerate(shifted)]
-            for sub in _count_roots(R, scaled, depth + 1, max_depth):
-                val = R.add(ahat, R.smul(R.ell, sub.value))
+            shifted = _poly_shift(R, coeffs, alpha)
+            scaled = [R.smul(R.ell**j, c) for j, c in enumerate(shifted)]
+            for sub in _count_roots(R, scaled, depth + 1):
+                val = R.add(alpha, R.smul(R.ell, sub.value))
                 roots.append(UnramifiedRoot(val, sub.precision))
     return roots
 
@@ -234,7 +195,7 @@ def with_unramified_roots(int_coeffs: list[int], ell: int, fn, k: int = 12):
         R = Wring(ell, k, N)
         try:
             coeffs = [R.from_int(c) for c in int_coeffs]
-            found = _count_roots(R, coeffs, 0, max_depth=N - 6)
+            found = _count_roots(R, coeffs, 0)
             return fn(R, found)
         except PrecisionError:
             N *= 2

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import legendre, valuation
+from .fq import poly_eval
 from .padic import PrecisionError, with_unramified_roots
 from .weierstrass import (
     ReductionKind,
@@ -147,14 +148,8 @@ def _defect_2(m: WeierstrassModel) -> int | str:
         if len(roots) == 4:
             return 2
         if len(roots) == 1:
-            x0 = R.mul(roots[0].value, R.inv_unit(R.from_int(3)))
-            d0 = R.add(
-                R.mul(R.from_int(4), R.pow(x0, 3)),
-                R.add(
-                    R.mul(R.from_int(b2), R.mul(x0, x0)),
-                    R.add(R.mul(R.from_int(2 * b4), x0), R.from_int(b6)),
-                ),
-            )
+            x0 = R.mul(roots[0].value, R.inv(R.from_int(3)))
+            d0 = poly_eval(R, [R.from_int(c) for c in (b6, 2 * b4, b2, 4)], x0)
             return 3 if R.is_square_unramified(d0) else 6
         if len(roots) != 0:
             return UNDETERMINED
@@ -175,9 +170,7 @@ def _defect_2(m: WeierstrassModel) -> int | str:
                 cs = gcd_coeffs[which]
                 if cs is None:
                     return False
-                val = Rr.zero()
-                for co in reversed(cs):
-                    val = Rr.add(Rr.mul(val, z), Rr.from_int(co))
+                val = poly_eval(Rr, [Rr.from_int(co) for co in cs], z)
                 return Rr.val(val) >= Rr.N - 8
 
             def square_or_zero(value, z, which):
@@ -242,14 +235,6 @@ def defect(m: WeierstrassModel, ell: int) -> DefectProfile:
     else:
         nat = NOT_APPLICABLE
     return DefectProfile(ell, e, tilde, nat)
-
-
-def nonabelian_torsion(m: WeierstrassModel, ell: int, profile: DefectProfile) -> str:
-    """Yes/No: is the ell-adic inertial torsion field non-abelian?  Only
-    meaningful for defect 3 or 4."""
-    if profile.e not in (3, 4):
-        raise WrongDefectError(f"requires e in {{3,4}}, got {profile.e}")
-    return _nonabelian(ell, profile.e, profile.tilde)
 
 
 def _twist_classes(ell: int) -> list[int]:

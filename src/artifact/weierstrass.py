@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import valuation
+from .fq import Fq, poly_root_multiplicity
 
 
 class SingularModelError(ValueError):
@@ -79,11 +80,6 @@ class WeierstrassModel:
         vals = [abs(self.a1), abs(self.a2) ** (1 / 2), abs(self.a3) ** (1 / 3),
                 abs(self.a4) ** (1 / 4), abs(self.a6) ** (1 / 6)]
         return max(vals)
-
-
-def invariants(m: WeierstrassModel) -> tuple[int, int, int, Fraction]:
-    """(c4, c6, Delta, j) of the given model."""
-    return m.c4(), m.c6(), m.discriminant(), m.j_invariant()
 
 
 def _val_or_inf(n: int, ell: int) -> float:
@@ -231,27 +227,6 @@ def _vp(n: int, ell: int) -> int:
     return 10**9 if n == 0 else valuation(n, ell)
 
 
-def _root_multiplicity_modp(coeffs: list[int], r: int, p: int) -> int:
-    """Multiplicity of r as a root of the polynomial (ascending coeffs)
-    over F_p."""
-    cs = [c % p for c in coeffs]
-    mult = 0
-    while len(cs) > 1 or (cs and cs[0] == 0):
-        # synthetic division by (x - r)
-        rem = 0
-        quo = []
-        for c in reversed(cs):
-            rem = (rem * r + c) % p
-            quo.append(rem)
-        if rem != 0:
-            break
-        cs = list(reversed(quo[:-1])) or [0]
-        mult += 1
-        if not any(cs):
-            break
-    return mult
-
-
 def _conductor_exponent_wild(m: WeierstrassModel, p: int) -> int:
     """Conductor exponent at p in {2, 3} for an additive p-minimal model,
     by running the reduction-type classification far enough to count the
@@ -297,8 +272,9 @@ def _conductor_exponent_wild(m: WeierstrassModel, p: int) -> int:
     a1, a2, a3, a4, a6 = m.ainvs()
 
     # cubic P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3) over F_p
-    P = [a6 // p ** 3, a4 // p ** 2, a2 // p, 1]
-    mults = {r: _root_multiplicity_modp(P, r, p) for r in range(p)}
+    F = Fq(p, 1)
+    P = [F.from_int(c) for c in (a6 // p ** 3, a4 // p ** 2, a2 // p, 1)]
+    mults = {r: poly_root_multiplicity(F, P, (r,)) for r in range(p)}
     triple = [r for r, mu in mults.items() if mu >= 3]
     double = [r for r, mu in mults.items() if mu == 2]
 

@@ -1,10 +1,40 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from artifact.padic import (
     PrecisionError,
+    Wring,
     count_unramified_roots,
     unramified_roots,
 )
+
+
+@st.composite
+def ring_and_elements(draw):
+    """A Wring(ell, k, N) for small N and two of its elements."""
+    ell, k = draw(st.sampled_from([(2, 12), (3, 12), (5, 1), (7, 1)]))
+    R = Wring(ell, k, draw(st.integers(1, 6)))
+    coeffs = st.lists(st.integers(0, R.mod - 1), min_size=k, max_size=k)
+    return R, tuple(draw(coeffs)), tuple(draw(coeffs))
+
+
+@given(ring_and_elements(), st.integers(0, 20))
+def test_wring_ring_operations(data, n):
+    R, a, b = data
+    F, res = R.F, R.residue
+    # reduction mod ell is a ring homomorphism onto the residue field
+    assert res(R.add(a, b)) == F.add(res(a), res(b))
+    assert res(R.sub(a, b)) == F.sub(res(a), res(b))
+    assert res(R.mul(a, b)) == F.mul(res(a), res(b))
+    assert res(R.pow(a, n)) == F.pow(res(a), n)
+    if R.k == 1:
+        assert R.add(a, b) == ((a[0] + b[0]) % R.mod,)
+        assert R.mul(a, b) == ((a[0] * b[0]) % R.mod,)
+        assert R.pow(a, n) == (pow(a[0], n, R.mod),)
+    if R.val(a) == 0:
+        assert R.mul(a, R.inv(a)) == R.one()
+    with pytest.raises(ZeroDivisionError):
+        R.inv(R.smul(R.ell, a))
 
 
 def test_square_roots_of_units_always_unramified():
