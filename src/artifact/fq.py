@@ -275,9 +275,20 @@ class Fq:
         return res
 
     def inv(self, a):
+        """Extended Euclid against the modulus in F_ell[t]: s*a = r mod h
+        at every step, and r ends as a nonzero constant.  O(k^2) small-int
+        steps instead of the ~2*log2(q) products of a^(q-2)."""
         if self.is_zero(a):
             raise ZeroDivisionError
-        return self.pow(a, self.q - 2)
+        ell = self.ell
+        r0, r1 = list(self.modulus), flx_trim(list(a))
+        s0, s1 = [0], [1]
+        while len(r1) > 1:
+            quot, rem = flx_divmod(ell, r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, flx_sub(ell, s0, flx_mul(ell, quot, s1))
+        s = flx_smul(ell, pow(r1[0], -1, ell), s1)
+        return tuple(s) + (0,) * (self.k - len(s))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

@@ -121,3 +121,22 @@ def test_frobenius_module_needs_prime_field():
         frobenius_module(C, 5)
     with pytest.raises(ValueError):
         torsion_field_degree(C, 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(2, 1), (2, 12), (3, 7), (5, 12), (7, 1), (11, 21),
+                        (13, 3), (101, 2)]),
+       st.data())
+def test_inv_matches_fermat(field, data):
+    # the extended-Euclid inverse is a^(q-2), the element with a*b = 1
+    ell, k = field
+    F = Fq(ell, k)
+    a = tuple(data.draw(st.lists(st.integers(0, ell - 1),
+                                 min_size=k, max_size=k)))
+    if F.is_zero(a):
+        with pytest.raises(ZeroDivisionError):
+            F.inv(a)
+        return
+    b = F.inv(a)
+    assert F.mul(a, b) == F.one()
+    assert b == F.pow(a, F.q - 2)
