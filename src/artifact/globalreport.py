@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import factorize, is_prime, legendre
+from .fqcurves import trace_of_frobenius
 from .localsolver import (
     EMPTY,
     OUT_OF_SCOPE,
@@ -36,6 +37,7 @@ from .localsolver import (
     Place,
     RealPlace,
     genus,
+    reduce_curve,
     solve_local,
 )
 from .semistability import defect
@@ -225,18 +227,12 @@ def _proven_isogeny(m: WeierstrassModel, q: int) -> Optional[IsogenyEvidence]:
 def _excluded_isogeny(m: WeierstrassModel, q: int) -> Optional[IsogenyEvidence]:
     """A good prime ell with (Delta_ell / q) = -1 rules out a rational
     (indeed Q_ell-rational) degree-q isogeny."""
-    from .fq import Fq
-    from .fqcurves import CurveOverFq, trace_of_frobenius
-
     for ell in range(2, EXCLUSION_SCAN_BOUND + 1):
         if not is_prime(ell) or ell == q:
             continue
-        mm = minimal_model_at(m, ell)
-        if reduction_kind(mm, ell) != ReductionKind.GOOD:
+        if reduction_kind(m, ell) != ReductionKind.GOOD:
             continue
-        F = Fq(ell, 1)
-        C = CurveOverFq(F, *(a % ell for a in mm.ainvs()))
-        a = trace_of_frobenius(C)
+        a = trace_of_frobenius(reduce_curve(m, ell))
         disc = a * a - 4 * ell
         if q == 2:
             # Kronecker symbol (disc/2): -1 exactly when disc = 3, 5 mod 8

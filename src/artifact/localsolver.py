@@ -129,7 +129,8 @@ def genus(p: int) -> GenusData:
     return GenusData(p, g, 4 * g * g)
 
 
-def _reduce_curve(m: WeierstrassModel, ell: int) -> CurveOverFq:
+def reduce_curve(m: WeierstrassModel, ell: int) -> CurveOverFq:
+    """The reduction over F_ell of an ell-minimal model of m."""
     mm = minimal_model_at(m, ell)
     F = Fq(ell, 1)
     return CurveOverFq(F, *(a % ell for a in mm.ainvs()))
@@ -257,8 +258,9 @@ def solve_local(m: WeierstrassModel, p: int, place: Place) -> LocalVerdict:
 
 
 def _solve_good(m: WeierstrassModel, p: int, ell: int, trace: list) -> LocalVerdict:
-    """Good reduction at ell != p: Hensel bound, then the four sufficient
-    conditions, then the exhaustive residual search."""
+    """Good reduction at ell != p: Hensel bound, then condition (1)
+    (p = 1 mod 4, which reads no point count), then the reduction's trace
+    a_ell and conditions (2)-(4), then the exhaustive residual search."""
     gd = genus(p)
     # (d)
     if ell > gd.hensel_bound:
@@ -268,15 +270,15 @@ def _solve_good(m: WeierstrassModel, p: int, ell: int, trace: list) -> LocalVerd
     trace.append(f"good, ell={ell} <= 4g^2 = {gd.hensel_bound}")
 
     # (e)
-    C = _reduce_curve(m, ell)
-    a = trace_of_frobenius(C)
-    disc = frob_disc(a, ell, 1)
-    trace.append(f"a_{ell} = {a}, Delta_{ell} = {disc}")
-
     if p % 4 == 1:
         trace.append(f"(1) p = {p} = 1 mod 4: holds")
         return LocalVerdict(NON_EMPTY, "Thm-good(1)", {"p_mod_4": 1}, trace)
     trace.append(f"(1) p = {p} = 3 mod 4: fails")
+
+    C = reduce_curve(m, ell)
+    a = trace_of_frobenius(C)
+    disc = frob_disc(a, ell, 1)
+    trace.append(f"a_{ell} = {a}, Delta_{ell} = {disc}")
 
     sf = squarefree_part(-p * disc)
     if sf != 1:
@@ -316,17 +318,18 @@ def _solve_good(m: WeierstrassModel, p: int, ell: int, trace: list) -> LocalVerd
 
 
 def _solve_good_equal(m: WeierstrassModel, p: int, trace: list) -> LocalVerdict:
-    """Good reduction at ell = p: the sufficient conditions that survive,
-    with the single open exceptional case."""
-    C = _reduce_curve(m, p)
-    a = trace_of_frobenius(C)
-    disc = frob_disc(a, p, 1)
-    trace.append(f"good at ell = p = {p}: a_p = {a}, Delta_p = {disc}")
-
+    """Good reduction at ell = p: condition (1) (p = 1 mod 4, which reads
+    no point count), then the trace a_p and the sufficient conditions that
+    survive, with the single open exceptional case."""
     if p % 4 == 1:
         trace.append(f"(1) p = {p} = 1 mod 4: holds")
         return LocalVerdict(NON_EMPTY, "Thm-good-p(1)", {"p_mod_4": 1}, trace)
     trace.append(f"(1) p = {p} = 3 mod 4: fails")
+
+    C = reduce_curve(m, p)
+    a = trace_of_frobenius(C)
+    disc = frob_disc(a, p, 1)
+    trace.append(f"good at ell = p = {p}: a_p = {a}, Delta_p = {disc}")
 
     sf = squarefree_part(-p * disc)
     if sf != 1:
@@ -351,7 +354,7 @@ def exceptional_prime(m: WeierstrassModel, ell: int) -> int | None:
     fail to contribute a local point; None when no such prime exists."""
     if reduction_kind(m, ell) != ReductionKind.GOOD:
         raise ValueError(f"requires good reduction at {ell}")
-    C = _reduce_curve(m, ell)
+    C = reduce_curve(m, ell)
     disc = frob_disc(trace_of_frobenius(C), ell, 1)
     sf = squarefree_part(-disc)
     if sf > 1 and sf % 4 == 3 and is_prime(sf):

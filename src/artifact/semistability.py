@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .arith import legendre, valuation
 from .fq import poly_eval
@@ -215,9 +216,11 @@ def _nonabelian(ell: int, e: int, tilde: TildeInvariants) -> str:
     raise WrongDefectError(f"unsupported combination ell={ell}, e={e}")
 
 
+@lru_cache(maxsize=8192)
 def defect(m: WeierstrassModel, ell: int) -> DefectProfile:
     """Semistability defect profile at a prime of additive, potentially
-    good reduction."""
+    good reduction.  Memoized: a Twist-e2/e6 query reads it in
+    ``solve_local`` and again in ``good_twist``/``e3_twist``."""
     kind = reduction_kind(m, ell)
     if kind != ReductionKind.ADDITIVE_POT_GOOD:
         raise WrongReductionKindError(

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from artifact.fq import Fq, poly_roots
 from artifact.fqcurves import (
@@ -40,6 +41,23 @@ def test_count_fixture_f9():
     assert count_points(C) == 16
     assert trace_of_frobenius(C) == -6
     assert frob_disc(-6, 3, 2) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]),
+       st.tuples(*[st.integers(-40, 40)] * 5))
+@example(2, (1, 0, 0, 0, 1))  # the a1*x term decides y^2 + b y = rhs
+@example(2, (1, 1, 1, 1, 0))
+def test_prime_field_count_matches_brute_force(ell, ai):
+    try:
+        C = CurveOverFq(Fq(ell, 1), *ai)
+    except SingularCurveError:
+        assume(False)
+    a1, a2, a3, a4, a6 = ai
+    affine = sum(1 for x, y in itertools.product(range(ell), repeat=2)
+                 if (y * y + a1 * x * y + a3 * y
+                     - x**3 - a2 * x * x - a4 * x - a6) % ell == 0)
+    assert count_points(C) == affine + 1
 
 
 def test_trace_example_5_6():

@@ -250,3 +250,17 @@ def test_verdict_statuses_only_from_documented_rules():
         if v.status == EMPTY:
             assert (v.rule.startswith("Thm-e") or v.rule == "Search-empty"
                     or v.rule.startswith("Twist-"))
+
+
+def test_condition_1_counts_no_points(monkeypatch):
+    # p = 1 mod 4 decides Thm-good(1) and Thm-good-p(1) without a_ell
+    import artifact.localsolver as ls
+
+    def no_count(C):
+        raise AssertionError("point count reached")
+
+    monkeypatch.setattr(ls, "trace_of_frobenius", no_count)
+    assert solve_local(E11, 13, FinitePrime(3)).rule == "Thm-good(1)"
+    assert solve_local(E11, 13, FinitePrime(13)).rule == "Thm-good-p(1)"
+    with pytest.raises(AssertionError, match="point count reached"):
+        solve_local(E11, 7, FinitePrime(3))

@@ -2,6 +2,7 @@ import pytest
 import sympy
 
 from artifact.corpus import corpus
+from artifact.localsolver import FinitePrime, solve_local
 from artifact.semistability import (
     WrongReductionKindError,
     _poly_gcd,
@@ -121,3 +122,21 @@ def test_poly_gcd_matches_sympy(shared, f_rest, g_rest):
     assert _poly_gcd(ints(f), ints(g)) == expected
     assert _poly_gcd(ints(g), ints(f)) == expected
     assert len(expected) - 1 == sympy.degree(shared, T)
+
+
+def test_defect_memo():
+    defect.cache_clear()
+    first = defect(W(0, 0, 0, -1, 0), 2)
+    info = defect.cache_info()
+    again = defect(W(0, 0, 0, -1, 0), 2)  # equal value, distinct object
+    assert defect.cache_info().hits == info.hits + 1
+    assert again == first
+    good = W(0, -1, 1, -10, -20)  # 11a1: good at 7, not cached
+    for _ in range(2):
+        with pytest.raises(WrongReductionKindError):
+            defect(good, 7)
+    # a Twist-e2 query reads defect(m, 3) in solve_local and in good_twist
+    tw = quadratic_twist(good, 3)
+    defect.cache_clear()
+    assert solve_local(tw, 7, FinitePrime(3)).rule.startswith("Twist-e2/")
+    assert defect.cache_info().misses == 1
