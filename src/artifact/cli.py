@@ -37,7 +37,6 @@ from .localsolver import (
     solve_local,
 )
 from .semistability import defect
-from .weierstrass import minimal_model_at
 
 USAGE_ERROR = 3
 
@@ -140,8 +139,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_defect(args) -> int:
-    m = minimal_model_at(resolve(args.curve), args.ell)
-    _emit(defect(m, args.ell))
+    _emit(defect(resolve(args.curve), args.ell))
     return 0
 
 

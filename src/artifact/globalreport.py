@@ -44,7 +44,6 @@ from .semistability import defect
 from .weierstrass import (
     ReductionKind,
     WeierstrassModel,
-    minimal_model_at,
     reduction_kind,
 )
 
@@ -354,8 +353,7 @@ def frey_mazur_classify(m: WeierstrassModel, p: int) -> str:
     """
     if p <= 17:
         raise ValueError("conditional classification requires p > 17")
-    mp = minimal_model_at(m, p)
-    if reduction_kind(mp, p) in _ADDITIVE:
+    if reduction_kind(m, p) in _ADDITIVE:
         return NOT_CLASSIFIED
 
     survey = isogeny_survey(m)
@@ -372,10 +370,9 @@ def frey_mazur_classify(m: WeierstrassModel, p: int) -> str:
             return CONDITIONAL_FM
 
     def _pot_good_defect(ell):
-        mm = minimal_model_at(m, ell)
-        if reduction_kind(mm, ell) != ReductionKind.ADDITIVE_POT_GOOD:
+        if reduction_kind(m, ell) != ReductionKind.ADDITIVE_POT_GOOD:
             return None
-        prof = defect(mm, ell)
+        prof = defect(m, ell)
         if prof.e == UNDETERMINED:
             return None
         return prof
@@ -418,8 +415,7 @@ def frey_mazur_classify(m: WeierstrassModel, p: int) -> str:
 def _bad_primes(m: WeierstrassModel) -> list[int]:
     out = []
     for ell, _ in factorize(abs(m.discriminant())).factors:
-        mm = minimal_model_at(m, ell)
-        if reduction_kind(mm, ell) != ReductionKind.GOOD:
+        if reduction_kind(m, ell) != ReductionKind.GOOD:
             out.append(ell)
     return out
 
@@ -546,7 +542,6 @@ def semistable_survey(H: int):
 
 def _is_semistable(m: WeierstrassModel, shared: int) -> bool:
     for ell, _ in factorize(shared).factors:
-        mm = minimal_model_at(m, ell)
-        if reduction_kind(mm, ell) in _ADDITIVE:
+        if reduction_kind(m, ell) in _ADDITIVE:
             return False
     return True

@@ -3,6 +3,11 @@
 Standard invariants, minimalization at a single prime, quadratic twists,
 unit parts of the invariants at a prime ("tilde" invariants), and the
 coarse reduction-type classification the decision tree needs.
+
+Minimalization is one closed form for every prime: Kraus's integrality
+conditions on (c4, c6) (Kraus 1989, Acta Arith. 54), decided by building
+the model with Laska's formulas (Cremona, Algorithms for Modular Elliptic
+Curves, 2nd ed., section 3.2).
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import valuation
+from .arith import factorize, squarefree_part, valuation
 from .fq import Fq, poly_root_multiplicity
 
 
@@ -82,71 +87,45 @@ class WeierstrassModel:
         return max(vals)
 
 
-def _val_or_inf(n: int, ell: int) -> float:
-    return float("inf") if n == 0 else valuation(n, ell)
+def _vp(n: int, ell: int) -> int:
+    """v_ell(n), or a sentinel above every real valuation when n = 0."""
+    return 10**9 if n == 0 else valuation(n, ell)
 
 
-def _reduce_step(m: WeierstrassModel, ell: int) -> WeierstrassModel | None:
-    """One u = ell reduction of the discriminant valuation, if one exists."""
-    c4, c6, disc = m.c4(), m.c6(), m.discriminant()
-    if _val_or_inf(c4, ell) < 4 or _val_or_inf(c6, ell) < 6 or valuation(disc, ell) < 12:
+def _laska_model(c4: int, c6: int) -> WeierstrassModel | None:
+    """Laska's integral model with invariants (c4, c6), or None if none exists.
+
+    b2 is fixed by b2 = -c6 mod 12, then b4, b6 and the a-invariants follow;
+    an integral model with these c4, c6 exists iff every division is exact.
+    """
+    b2 = (-c6 + 5) % 12 - 5
+    b4, r4 = divmod(b2 * b2 - c4, 24)
+    b6, r6 = divmod(-b2**3 + 36 * b2 * b4 - c6, 216)
+    a1, a3 = b2 % 2, b6 % 2
+    if r4 or r6 or (b2 - a1) % 4 or (b4 - a1 * a3) % 2 or (b6 - a3) % 4:
         return None
-    if ell >= 5:
-        # 2 and 3 are units: solve for (s, r, t) directly to high precision.
-        mod = ell**6
-        inv2 = pow(2, -1, mod)
-        inv3 = pow(3, -1, mod)
-        a1, a2, a3 = m.a1, m.a2, m.a3
-        s = (-a1 * inv2) % mod
-        r = ((s * s + s * a1 - a2) * inv3) % mod
-        t = (-(a3 + r * a1) * inv2) % mod
-        return m.transform(ell, r, s, t)
-    # ell = 2, 3: lift (s, r, t) digit by digit, pruning by the divisibility
-    # constraints on the transformed a-invariants at each precision level.
-    a1, a2, a3, a4, a6 = m.ainvs()
-
-    def ok(s, r, t, k):
-        if (a1 + 2 * s) % (ell**min(k, 1)):
-            return False
-        if (a2 - s * a1 + 3 * r - s * s) % (ell**min(k, 2)):
-            return False
-        if (a3 + r * a1 + 2 * t) % (ell**min(k, 3)):
-            return False
-        if (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) % (ell**min(k, 4)):
-            return False
-        if (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) % (ell**min(k, 6)):
-            return False
-        return True
-
-    level = [(0, 0, 0)]
-    for k in range(1, 7):
-        step = ell ** (k - 1)
-        nxt = []
-        # s enters the constraints only mod ell^4 (its largest coefficient
-        # modulus), so its digits beyond level 4 are free: fix them to 0.
-        s_digits = range(ell) if k <= 4 else (0,)
-        for s0, r0, t0 in level:
-            for ds in s_digits:
-                for dr in range(ell):
-                    for dt in range(ell):
-                        s, r, t = s0 + ds * step, r0 + dr * step, t0 + dt * step
-                        if ok(s, r, t, k):
-                            nxt.append((s, r, t))
-        if not nxt:
-            return None
-        level = nxt
-    s, r, t = level[0]
-    return m.transform(ell, r, s, t)
+    return WeierstrassModel(a1, (b2 - a1) // 4, a3, (b4 - a1 * a3) // 2, (b6 - a3) // 4)
 
 
 @lru_cache(maxsize=8192)
 def minimal_model_at(m: WeierstrassModel, ell: int) -> WeierstrassModel:
-    """An ell-minimal model in the same Q-isomorphism class."""
-    while True:
-        reduced = _reduce_step(m, ell)
-        if reduced is None:
-            return m
-        m = reduced
+    """An ell-minimal model in the same Q-isomorphism class.
+
+    Kraus's test (Kraus 1989; Cremona, Algorithms for Modular Elliptic
+    Curves, 2nd ed., 3.2): a model with invariants c4/u^4, c6/u^6 is
+    integral iff Laska's formulas divide exactly, and u = ell^j is a unit
+    at every other prime, so the largest such j gives the ell-minimal
+    model.  When no j >= 1 works the input is already ell-minimal and comes
+    back unchanged, not renormalised, so its a-invariants (which verdict
+    witnesses print) stay those of the caller's model.
+    """
+    c4, c6 = m.c4(), m.c6()
+    k = min(_vp(c4, ell) // 4, _vp(c6, ell) // 6, valuation(m.discriminant(), ell) // 12)
+    for j in range(k, 0, -1):
+        reduced = _laska_model(c4 // ell**(4 * j), c6 // ell**(6 * j))
+        if reduced is not None:
+            return reduced
+    return m
 
 
 @dataclass(frozen=True)
@@ -204,8 +183,6 @@ def reduction_kind(m: WeierstrassModel, ell: int) -> str:
 
 def quadratic_twist(m: WeierstrassModel, d: int) -> WeierstrassModel:
     """Twist by a squarefree nonzero integer d."""
-    from .arith import squarefree_part
-
     if d == 0 or squarefree_part(abs(d)) != abs(d):
         raise ValueError("twist parameter must be squarefree and nonzero")
     if m.a1 == 0 and m.a3 == 0:
@@ -215,17 +192,9 @@ def quadratic_twist(m: WeierstrassModel, d: int) -> WeierstrassModel:
     return WeierstrassModel(0, d * b2, 0, 8 * d * d * b4, 16 * d**3 * b6)
 
 
-def naive_height(m: WeierstrassModel) -> float:
-    return m.naive_height()
-
-
 # ---------------------------------------------------------------------------
 # conductor exponents
 # ---------------------------------------------------------------------------
-
-def _vp(n: int, ell: int) -> int:
-    return 10**9 if n == 0 else valuation(n, ell)
-
 
 def _conductor_exponent_wild(m: WeierstrassModel, p: int) -> int:
     """Conductor exponent at p in {2, 3} for an additive p-minimal model,
@@ -338,8 +307,6 @@ def conductor_exponent(m: WeierstrassModel, ell: int) -> int:
 
 def conductor(m: WeierstrassModel) -> int:
     """Conductor of the curve."""
-    from .arith import factorize
-
     N = 1
     for ell, _ in factorize(abs(m.discriminant())).factors:
         N *= ell ** conductor_exponent(m, ell)

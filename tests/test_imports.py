@@ -23,3 +23,36 @@ def test_no_unused_imports(path):
     unused = sorted(f"{name} (line {line})" for name, line in imported.items()
                     if name not in used)
     assert not unused, f"unused imports in {path.name}: {unused}"
+
+
+def _private_defs(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")]
+
+
+def _referenced_names(nodes):
+    names = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_no_unreferenced_private_definitions():
+    """Every module-level _private function or class is referenced somewhere
+    in the package outside its own definition."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    dead = []
+    for name, tree in trees.items():
+        for d in _private_defs(tree):
+            others = [node for other, t in trees.items() for node in t.body
+                      if other != name or node is not d]
+            if d.name not in _referenced_names(others):
+                dead.append(f"{name}:{d.lineno} {d.name}")
+    assert not dead, f"unreferenced private definitions: {dead}"
