@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -22,7 +23,7 @@ from artifact.fqcurves import (
     trace_of_frobenius,
     weil_pairing,
 )
-from artifact.fqcurves import SingularCurveError, _division_cache
+from artifact.fqcurves import SingularCurveError, _division_cache, _solve_y
 
 
 def test_count_fixture_f4():
@@ -117,8 +118,6 @@ def _torsion_points(ell, k, ai, p):
     C = CurveOverFq(F, *ai)
     poly = division_polynomial(C, p)
     coeffs = poly if isinstance(poly, list) else list(poly)
-    from artifact.fqcurves import _solve_y  # test-only use of the helper
-
     if isinstance(coeffs[0], int):
         coeffs = [F.from_int(c) for c in coeffs]
     pts = []
@@ -190,3 +189,148 @@ def test_division_polynomials_reduced_mod_ell():
                 assert all(0 <= c < ell for c in division_polynomial(C, n))
             checked += 1
         assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# Weil pairing against a reference: the four-Miller-loop form with an
+# offset point S, e_p(P, Q) = f_P(Q + S) f_Q(-S) / (f_P(S) f_Q(P - S)).
+# ---------------------------------------------------------------------------
+
+class _BadOffset(Exception):
+    """A Miller function of the reference vanished at its argument."""
+
+
+def _reference_line_value(C, V, W, X):
+    """(numerator, denominator) of the line through V and W (tangent if
+    V = W) divided by the vertical at V + W, evaluated at X."""
+    F = C.F
+    xX, yX = X
+    xV, yV = V
+    if V != W and V[0] == W[0]:
+        return F.sub(xX, xV), F.one()
+    if V == W:
+        den = F.add(F.smul(2, yV), F.add(F.mul(C.a1, xV), C.a3))
+        if F.is_zero(den):
+            return F.sub(xX, xV), F.one()
+        num = F.sub(
+            F.add(F.smul(3, F.mul(xV, xV)),
+                  F.add(F.smul(2, F.mul(C.a2, xV)), C.a4)),
+            F.mul(C.a1, yV),
+        )
+    else:
+        num = F.sub(W[1], yV)
+        den = F.sub(W[0], xV)
+    lam = F.div(num, den)
+    lval = F.sub(F.sub(yX, yV), F.mul(lam, F.sub(xX, xV)))
+    return lval, F.sub(xX, C.add(V, W)[0])
+
+
+def _reference_miller(C, P, X, n):
+    """(num, den) with num/den = f_{n,P}(X), f_{n,P} of divisor
+    n(P) - n(O); raises _BadOffset where it vanishes or has a pole."""
+    F = C.F
+    num = den = F.one()
+    V = P
+    for bit in bin(n)[3:]:
+        ln, ld = _reference_line_value(C, V, V, X)
+        V = C.add(V, V)
+        num = F.mul(F.mul(num, num), ln)
+        den = F.mul(F.mul(den, den), ld)
+        if bit == "1":
+            if V is None:
+                raise _BadOffset
+            ln, ld = _reference_line_value(C, V, P, X)
+            V = C.add(V, P)
+            num = F.mul(num, ln)
+            den = F.mul(den, ld)
+    if F.is_zero(num) or F.is_zero(den):
+        raise _BadOffset
+    return num, den
+
+
+def _reference_weil(C, P, Q, p):
+    """e_p(P, Q) from four Miller loops against the first offset point S
+    (searching x = 0, 1, 2, ...) at which none of them vanishes."""
+    F = C.F
+    if P is None or Q is None or P == Q or P == C.neg(Q):
+        return F.one()
+    forbidden = {None, P, C.neg(Q), C.add(P, C.neg(Q))}
+    for idx in range(8 * F.ell + 16):
+        x = F.from_index(idx % F.q)
+        for S in [(x, y) for y in _solve_y(C, x)]:
+            if S in forbidden:
+                continue
+            try:
+                n1, d1 = _reference_miller(C, P, C.add(Q, S), p)
+                n2, d2 = _reference_miller(C, P, S, p)
+                n3, d3 = _reference_miller(C, Q, C.add(P, C.neg(S)), p)
+                n4, d4 = _reference_miller(C, Q, C.neg(S), p)
+            except (_BadOffset, ZeroDivisionError):
+                continue
+            den = F.mul(F.mul(d1, n2), F.mul(d4, n3))
+            if not F.is_zero(den):
+                return F.div(F.mul(F.mul(n1, d2), F.mul(n4, d3)), den)
+    raise AssertionError("no valid pairing offset found")
+
+
+# (ell, p, a-invariants): full p-torsion over F_{ell^k}, k <= 12, in
+# characteristics 2 and 3, supersingular and ordinary, short and general
+# models.
+PAIRING_CURVES = [
+    (2, 3, (0, 0, 1, 0, 0)),
+    (2, 3, (1, 0, 0, 0, 1)),
+    (2, 5, (0, 0, 1, 1, 0)),
+    (2, 7, (0, 0, 1, 0, 0)),
+    (3, 5, (0, 1, 0, 0, 2)),
+    (3, 7, (0, 0, 0, 1, 0)),
+    (5, 3, (0, 0, 0, 0, 1)),
+    (7, 3, (0, 0, 0, 0, 2)),
+    (13, 3, (1, 0, 1, 4, 7)),
+    (11, 5, (0, 0, 0, 1, 3)),
+    (19, 5, (0, 18, 1, 9, 18)),
+    (13, 7, (0, 0, 0, 0, 4)),
+    (43, 7, (0, 0, 0, 0, 3)),
+]
+
+
+@lru_cache(maxsize=None)
+def _pairing_basis(idx):
+    """(C, P, Q): the curve over its p-torsion field and a basis of E[p]."""
+    ell, p, ai = PAIRING_CURVES[idx]
+    k = torsion_field_degree(CurveOverFq(Fq(ell, 1), *ai), p)
+    C, pts = _torsion_points(ell, k, ai, p)
+    assert len(pts) == p * p - 1
+    P = pts[0]
+    line = {C.smul(j, P) for j in range(p)}
+    return C, P, next(pt for pt in pts if pt not in line)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(PAIRING_CURVES) - 1), st.integers(0, 10),
+       st.integers(0, 10), st.integers(0, 10), st.integers(0, 10),
+       st.sampled_from(["free", "equal", "negated", "multiple"]))
+@example(0, 0, 0, 1, 1, "free")  # P = O
+@example(3, 1, 0, 0, 0, "free")  # Q = O
+@example(4, 2, 3, 0, 0, "equal")
+@example(5, 1, 1, 0, 0, "negated")
+@example(6, 1, 2, 3, 0, "multiple")
+@example(8, 1, 0, 0, 1, "free")
+def test_weil_pairing_matches_offset_reference(idx, a, b, c, d, relation):
+    C, P, Q = _pairing_basis(idx)
+    p = PAIRING_CURVES[idx][1]
+    X = C.add(C.smul(a, P), C.smul(b, Q))
+    Y = {"free": C.add(C.smul(c, P), C.smul(d, Q)), "equal": X,
+         "negated": C.neg(X), "multiple": C.smul(c, X)}[relation]
+    assert weil_pairing(C, X, Y, p) == _reference_weil(C, X, Y, p)
+
+
+def test_weil_pairing_rejects_points_outside_torsion():
+    # E(F_7) = E[3] for y^2 = x^3 + 2, so no point but O is 5-torsion
+    C = CurveOverFq(Fq(7, 1), 0, 0, 0, 0, 2)
+    x = C.F.from_int(3)
+    P = (x, _solve_y(C, x)[0])
+    assert C.smul(3, P) is None and C.smul(5, P) is not None
+    with pytest.raises(ValueError):
+        weil_pairing(C, P, None, 5)
+    with pytest.raises(ValueError):
+        weil_pairing(C, None, P, 5)

@@ -79,6 +79,14 @@ def test_residual_antisymplectic_example():
     assert tuple(v.witness["partner"]) == (0, 0, 0, 1, 7)
 
 
+def test_residual_antisymplectic_p11_at_31():
+    # p = 11 at a large good prime: each unipotent u-class takes a Weil
+    # pairing over a field of degree divisible by 11
+    v = solve_local(W(0, 0, 0, 14, 17), 11, FinitePrime(31))
+    assert v.status == NON_EMPTY and v.rule == "Search-antisymplectic"
+    assert v.witness["partner"] == [0, 0, 0, 3, 5]
+
+
 def test_e12_biconditional():
     v = solve_local(E27, 7, FinitePrime(3))
     assert v.status == NON_EMPTY and v.rule == "Thm-e12"
