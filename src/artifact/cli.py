@@ -18,6 +18,7 @@ import json
 import sys
 import traceback
 from fractions import Fraction
+from functools import cache
 
 from .corpus import resolve
 from .globalreport import (
@@ -170,7 +171,10 @@ def _cmd_survey(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than
+    a parse, and parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="artifact",
         description="Local solubility of twisted full-level modular curves")

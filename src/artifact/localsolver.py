@@ -460,8 +460,8 @@ def compare_symplectic(m1: WeierstrassModel, m2: WeierstrassModel,
 
 # ---------------------------------------------------------------------------
 # rational 3-torsion over Q_ell: the Z_ell-roots of the 3-division quartic
-# come from padic's root finder on the k = 1 ring Z/ell^N; its precision
-# loop retries whenever the square-class test below runs out of digits.
+# come from padic's root finder; its precision loop retries whenever the
+# square-class test below runs out of digits.
 # ---------------------------------------------------------------------------
 
 def _square_class_zl(value: int, ell: int, known_prec: int):
@@ -494,9 +494,9 @@ def _three_torsion_status(m: WeierstrassModel, ell: int) -> str:
     b2, b4, b6, b8 = m.b_invariants()
     g = [27 * b8, 27 * b6, 9 * b4, b2, 1]
 
-    def any_square(R, roots):
+    def any_square(roots):
         for root in roots:
-            y0, prec = root.value[0], root.precision
+            y0, prec = root.value, root.precision
             val = (12 * y0 ** 3 + 9 * b2 * y0 ** 2
                    + 54 * b4 * y0 + 81 * b6) % (ell ** prec)
             if _square_class_zl(val, ell, prec):
@@ -504,7 +504,7 @@ def _three_torsion_status(m: WeierstrassModel, ell: int) -> str:
         return "No"
 
     try:
-        return with_unramified_roots(g, ell, any_square, k=1)
+        return with_unramified_roots(g, ell, any_square)
     except PrecisionError:
         return UNDETERMINED
 

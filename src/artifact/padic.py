@@ -1,17 +1,9 @@
-"""Root counting for integer polynomials over the maximal unramified
-extension of Q_ell (ell = 2 or 3 for the semistability defect), and over
-Q_ell itself.
+"""Roots in Q_ell of an integer polynomial with unit leading coefficient.
 
-Every root of a monic integer polynomial of degree <= 4 that lies in the
-maximal unramified extension generates an unramified extension of degree
-<= 4, so it already lives in the ring of Witt vectors of F_{ell^12}.  We
-model that ring as (Z/ell^N)[t]/(h(t)) for the fixed degree-12 modulus h
-of ``fq``: ``Wring`` is an ``Fq`` whose coefficients live mod ell^N, and
-adds only the ell-adic operations.  Roots are counted by residue analysis
-plus digit lifting.
-
-With k = 1 the ring is Z/ell^N, so the roots found are exactly the
-Q_ell-roots (integral, as the leading coefficient is a unit); the
+Such a polynomial has all its Q_ell-roots in Z_ell, and they are found
+modulo ell^N on plain ints: the roots modulo ell of the polynomial
+(stripped of its ell-power content), Newton's iteration from each simple
+one, and digit lifting (x = alpha + ell*w) below each multiple one.  The
 3-torsion test of ``localsolver`` uses this for any ell.
 """
 
@@ -20,169 +12,85 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import discriminant, valuation
-from .fq import Fq, poly_eval, poly_roots, poly_root_multiplicity, poly_trim
+from .fq import Fq, flx_gcd, flx_powmod, flx_sub, flx_trim, poly_roots
 
 
 class PrecisionError(ArithmeticError):
     pass
 
 
-class Wring(Fq):
-    """Unramified extension ring W(F_{ell^k}) truncated at ell^N: the
-    ``Fq`` ring operations with coefficients mod ell^N instead of ell."""
-
-    def __init__(self, ell: int, k: int, N: int):
-        super().__init__(ell, k)
-        self.N = N
-        self.mod = ell**N
-        self._set_width()
-        self.F = Fq(ell, k)  # the residue field
-
-    def mul(self, a, b):
-        # Schoolbook: Fq's Kronecker packing measured slower at these widths.
-        k, h, mod = self.k, self.modulus, self.mod
-        res = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] = (res[i + j] + ai * bj) % mod
-        for i in range(len(res) - 1, k - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                for j in range(k + 1):
-                    res[i - k + j] = (res[i - k + j] - c * h[j]) % mod
-        return tuple(res[:k])
-
-    def residue(self, a):
-        """Image in F_{ell^k}."""
-        return tuple(x % self.ell for x in a)
-
-    def val(self, a) -> int:
-        """ell-adic valuation; N if zero at this precision."""
-        v = self.N
-        for x in a:
-            if x:
-                v = min(v, valuation(x, self.ell))
-        return v
-
-    def divide_exact(self, a, power: int):
-        if any(x % self.ell**power for x in a):
-            raise ValueError("not divisible")
-        return tuple(x // self.ell**power for x in a)
-
-    def inv(self, a):
-        """Inverse of a unit, Newton-lifted from the residue field."""
-        if self.val(a) != 0:
-            raise ZeroDivisionError("not a unit")
-        y = self.F.inv(self.residue(a))
-        # Newton iteration y <- y(2 - ay)
-        for _ in range(self.N.bit_length() + 1):
-            y = self.mul(y, self.sub(self.from_int(2), self.mul(a, y)))
-        return y
-
-    def teichmuller(self, a):
-        """The Teichmuller representative congruent to a mod ell (a a unit)."""
-        t = a
-        for _ in range(self.N + 2):
-            nt = self.pow(t, self.ell**self.k)
-            if nt == t:
-                break
-            t = nt
-        return t
-
-    def is_square_unramified(self, a) -> bool:
-        """Is a a square in the full maximal unramified extension?
-
-        Valid for ell = 2 and odd ell alike: units of the maximal
-        unramified extension are squares exactly when congruent to their
-        Teichmuller representative modulo 4 (ell = 2) or always (odd ell).
-        """
-        v = self.val(a)
-        if v >= self.N - 4:
-            raise PrecisionError("valuation too close to working precision")
-        if v % 2:
-            return False
-        u = self.divide_exact(a, v)
-        if self.ell != 2:
-            return True
-        z = self.teichmuller(u)
-        return all((x - y) % 4 == 0 for x, y in zip(u, z))
-
-
-def _poly_shift(R: Wring, coeffs, alpha):
-    """Coefficients of P(alpha + w) via iterated synthetic division."""
-    work = list(coeffs)
-    out = []
-    for _ in range(len(coeffs)):
-        # divide work by (w - alpha) keeping remainder
-        rem = R.zero()
-        newwork = []
-        for c in reversed(work):
-            rem = R.add(R.mul(rem, alpha), c)
-            newwork.append(rem)
-        # newwork currently holds Horner partials; quotient coeffs are all
-        # but the last partial, remainder is the last
-        newwork.reverse()
-        out.append(newwork[0])
-        work = newwork[1:]
-        if not work:
-            break
-    return out
-
-
 @dataclass
-class UnramifiedRoot:
-    value: tuple  # element of the Wring
+class Root:
+    value: int  # in [0, ell^N)
     precision: int  # valid modulo ell^precision
 
 
-def _count_roots(R: Wring, coeffs, depth: int) -> list[UnramifiedRoot]:
-    if depth > R.N - 6:
+def _eval(coeffs, x: int, mod: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % mod
+    return acc
+
+
+def _shift(coeffs, alpha: int, mod: int):
+    """Coefficients of P(alpha + w) by repeated synthetic division."""
+    work = list(coeffs)
+    out = []
+    while work:
+        rem = 0
+        quot = []
+        for c in reversed(work):
+            rem = (rem * alpha + c) % mod
+            quot.append(rem)
+        out.append(quot.pop())
+        work = quot[::-1]
+    return out
+
+
+def _residue_roots(coeffs, ell: int) -> list[int]:
+    """Sorted distinct roots in F_ell: the linear factors are
+    gcd(x^ell - x, f), split by ``poly_roots`` only when there are two or
+    more."""
+    f = flx_trim([c % ell for c in coeffs])
+    if len(f) == 1:
+        return []
+    g = flx_gcd(ell, flx_sub(ell, flx_powmod(ell, [0, 1], ell, f), [0, 1]), f)
+    if len(g) <= 2:
+        return [-g[0] % ell] if len(g) == 2 else []
+    F = Fq(ell, 1)
+    return [r for (r,) in poly_roots(F, [F.from_int(c) for c in g])]
+
+
+def _roots(coeffs, ell: int, N: int, depth: int) -> list[Root]:
+    if depth > N - 6:
         raise PrecisionError("digit lifting exceeded precision budget")
-    # strip content
-    mu = min(R.val(c) for c in coeffs)
-    if mu >= R.N - 2:
+    mod = ell**N
+    mu = min(valuation(c, ell) if c else N for c in coeffs)
+    if mu >= N - 2:
         raise PrecisionError("polynomial vanishes at working precision")
-    if mu:
-        coeffs = [R.divide_exact(c, mu) for c in coeffs]
-    Fbar = [R.residue(c) for c in coeffs]
-    Fpoly = poly_trim(R.F, Fbar)
+    coeffs = [c // ell**mu for c in coeffs]
+    deriv = [i * c % mod for i, c in enumerate(coeffs)][1:]
     roots = []
-    for alpha in poly_roots(R.F, Fpoly):
-        if poly_root_multiplicity(R.F, Fpoly, alpha) == 1:
-            # Hensel: refine by Newton iteration
-            deriv = [R.smul(i, c) for i, c in enumerate(coeffs)][1:]
+    for alpha in _residue_roots(coeffs, ell):
+        if _eval(deriv, alpha, ell):
+            # a simple root: Newton's iteration
             x = alpha
-            for _ in range(R.N.bit_length() + 2):
-                fx = poly_eval(R, coeffs, x)
-                dfx = poly_eval(R, deriv, x)
-                x = R.sub(x, R.mul(fx, R.inv(dfx)))
-            roots.append(UnramifiedRoot(x, R.N - depth))
+            for _ in range(N.bit_length() + 2):
+                x = (x - _eval(coeffs, x, mod)
+                     * pow(_eval(deriv, x, mod), -1, mod)) % mod
+            roots.append(Root(x, N - depth))
         else:
-            shifted = _poly_shift(R, coeffs, alpha)
-            scaled = [R.smul(R.ell**j, c) for j, c in enumerate(shifted)]
-            for sub in _count_roots(R, scaled, depth + 1):
-                val = R.add(alpha, R.smul(R.ell, sub.value))
-                roots.append(UnramifiedRoot(val, sub.precision))
+            shifted = _shift(coeffs, alpha, mod)
+            scaled = [ell**j * c % mod for j, c in enumerate(shifted)]
+            roots += [Root((alpha + ell * sub.value) % mod, sub.precision)
+                      for sub in _roots(scaled, ell, N, depth + 1)]
     return roots
 
 
-def unramified_roots(int_coeffs: list[int], ell: int, k: int = 12):
-    """Distinct roots in the maximal unramified extension of Q_ell of a
-    squarefree integer polynomial with unit leading coefficient.
-
-    Returns (ring, list of UnramifiedRoot).
-    """
-    return with_unramified_roots(int_coeffs, ell, lambda R, roots: (R, roots), k)
-
-
-def count_unramified_roots(int_coeffs: list[int], ell: int) -> int:
-    return len(unramified_roots(int_coeffs, ell)[1])
-
-
-def with_unramified_roots(int_coeffs: list[int], ell: int, fn, k: int = 12):
-    """Run fn(ring, roots) at increasing precision until it stops raising
+def with_unramified_roots(int_coeffs: list[int], ell: int, fn):
+    """Run fn(roots) on the Q_ell-roots of a squarefree integer polynomial
+    with unit leading coefficient (the roots in the unramified extension
+    of degree 1), at increasing precision until fn stops raising
     PrecisionError.  Lets callers do further exact tests on root values.
     """
     disc = discriminant(int_coeffs)
@@ -192,11 +100,9 @@ def with_unramified_roots(int_coeffs: list[int], ell: int, fn, k: int = 12):
         raise ValueError("leading coefficient must be an ell-unit")
     N = 2 * valuation(disc, ell) + 20
     for _ in range(4):
-        R = Wring(ell, k, N)
         try:
-            coeffs = [R.from_int(c) for c in int_coeffs]
-            found = _count_roots(R, coeffs, 0)
-            return fn(R, found)
+            mod = ell**N
+            return fn(_roots([c % mod for c in int_coeffs], ell, N, 0))
         except PrecisionError:
             N *= 2
     raise PrecisionError("could not certify computation at any tried precision")

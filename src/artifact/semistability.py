@@ -3,31 +3,26 @@
 The defect e is the degree over the maximal unramified extension of Q_ell
 of the smallest field where the curve acquires good reduction.  For
 ell >= 5 it is the denominator of v_ell(Delta_min)/12.  For ell = 2 and 3
-the extension is wildly ramified in general; we compute e from the
-inertial-field descriptions
-
-    ell = 2:  L = Q_2^un(E[3]),
-    ell = 3:  L = Q_3^un(E[2], Delta^(1/4)),
-
-which reduce everything to root counts of small integer polynomials in
-the maximal unramified extension plus unit square tests.
+it is Kraus's table (A. Kraus, "Sur le defaut de semi-stabilite des
+courbes elliptiques a reduction additive", Manuscripta Math. 69 (1990)):
+e is read off the valuations (v(c4), v(c6), v(Delta)) of a minimal model
+and, on a few valuation triples, a congruence of the unit parts
+c4~, c6~, Delta~ (``TildeInvariants``): c6~ mod 9 at ell = 3, and c4~,
+Delta~ or c6~ mod 4 at ell = 2.  Each branch names the Galois-theoretic
+case it decides.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .arith import legendre, valuation
-from .fq import poly_eval
-from .padic import PrecisionError, with_unramified_roots
+from .arith import legendre
 from .weierstrass import (
     ReductionKind,
     TildeInvariants,
     WeierstrassModel,
-    minimal_model_at,
     quadratic_twist,
     reduction_kind,
     tilde_invariants,
@@ -69,137 +64,98 @@ def _defect_tame(v_delta: int) -> int | str:
     return _TAME_E.get(v_delta, UNDETERMINED)
 
 
-def _defect_3(m: WeierstrassModel) -> int | str:
-    """Defect at 3 from L = Q_3^un(E[2], Delta^(1/4)).
+def _defect_3(t: TildeInvariants) -> int:
+    """Kraus's table at ell = 3.
 
-    [Q_3^un(E[2]) : Q_3^un] = d2 is read off from the number of roots of
-    the 2-division cubic x^3 - 27 c4 x - 54 c6 in Q_3^un (0, 1 or 3 roots;
-    with one root the other two generate the ramified quadratic, with none
-    the cubic field contains the quadratic subfield iff v(Delta) is odd
-    since units of Z_3^un are all squares).  [Q_3^un(Delta^(1/4)) :
-    Q_3^un] = d4 = 4/gcd(v(Delta), 4).  The compositum degree divides
-    d2*d4 and loses a factor 2 exactly when both share the quadratic
-    subfield Q_3^un(sqrt(Delta)).
+    e = 3^w * 4/gcd(v(Delta), 4): the tame part is the ramification of
+    Delta^(1/4), and w = 1 (wild inertia of order 3) exactly when the
+    2-division cubic x^3 - 27 c4 x - 54 c6 has no root in Q_3^un.  Its
+    Newton polygon decides that from the valuations, except when it is
+    one segment from x^3 to 54 c6, where c6~ mod 9 decides.
     """
-    c4, c6 = m.c4(), m.c6()
-    v = valuation(m.discriminant(), 3)
-    nroots = None
-    try:
-        nroots = with_unramified_roots([-54 * c6, -27 * c4, 0, 1], 3,
-                                       lambda R, roots: len(roots))
-    except PrecisionError:
-        return UNDETERMINED
-    d4 = 4 // math.gcd(v, 4)
-    if nroots == 3:
-        d2 = 1
-    elif nroots == 1:
-        d2 = 2
-    elif nroots == 0:
-        d2 = 3 if v % 2 == 0 else 6
-    else:
-        return UNDETERMINED
-    shared = 2 if (d2 % 2 == 0 and d4 % 2 == 0) else 1
-    e = d2 * d4 // shared
-    return e if e in (2, 3, 4, 6, 12) else UNDETERMINED
+    a, b, g = t.v_c4, t.v_c6, t.v_delta  # a, b are None for c4, c6 = 0
+    if g % 3:
+        # 12 | e v(Delta) forces w = 1
+        return 12 // math.gcd(g, 12)
+    if g == 12:
+        # e = 1 is good reduction, so w = 1
+        return 3
+    if g == 6:
+        # Delta is a square in Q_3^un, so the cubic has 0 or 3 roots: all
+        # three on (2, 3, 6) and (3, >= 6, 6), none on (3, 5, 6)
+        split = (a, b) == (2, 3) or (a == 3 and (b is None or b >= 6))
+        return 2 if split else 6
+    # v(Delta) in {3, 9}: e = 4 if the cubic has a root, else 12.  At
+    # a0 = v(1728 Delta)/3, b0 = v(1728 Delta)/2 the terms c4^3 and c6^2
+    # reach v(1728 Delta); one of them must.
+    a0, b0 = (g + 3) // 3, (g + 3) // 2
+    if b == b0:
+        # one segment, from x^3 to 54 c6: every root is
+        # x = 3^((b0+3)/3) (-c6~ + 3t), and some t lies in Q_3^un iff
+        # c6~^2 = c4/3^(a0-1) - 2 mod 9, i.e. c6~ = +-2 (a = a0, where
+        # c4~ = 2 mod 3) or +-4 (a > a0, or c4 = 0) mod 9
+        return 4 if t.c6_tilde % 9 in ((2, 7) if a == a0 else (4, 5)) else 12
+    # a = a0, b > b0 (or c6 = 0): the segment through 27 c4 x and 54 c6
+    # has length 1 (a rational root) iff b >= b0 + 2
+    return 12 if b == b0 + 1 else 4
 
 
-def _poly_gcd(f: list[int], g: list[int]) -> list[int]:
-    """Monic gcd over Q of two nonzero integer polynomials (little-endian),
-    scaled by the lcm of its denominators."""
-    def trim(h):
-        while h and h[-1] == 0:
-            h.pop()
-        return h
+def _defect_2(t: TildeInvariants) -> int:
+    """Kraus's table at ell = 2.
 
-    a, b = trim([Fraction(c) for c in f]), trim([Fraction(c) for c in g])
-    while b:
-        while len(a) >= len(b):
-            q = a[-1] / b[-1]
-            for i, c in enumerate(b, len(a) - len(b)):
-                a[i] -= q * c
-            trim(a)
-        a, b = b, a
-    a = [c / a[-1] for c in a]
-    denom = math.lcm(*(c.denominator for c in a))
-    return [int(c * denom) for c in a]
-
-
-def _defect_2(m: WeierstrassModel) -> int | str:
-    """Defect at 2 from L = Q_2^un(E[3]).
-
-    The inertial group is a subgroup of SL2(F_3) and is recognized by the
-    action on the four 3-torsion x-coordinates: roots of the 3-division
-    polynomial, monicized to y^4 + b2 y^3 + 9 b4 y^2 + 27 b6 y + 27 b8
-    via y = 3x.
-
-    * 4 roots in Q_2^un: only -1 can act, e = 2.
-    * 1 root: a C3 or C6 quotient; e = 3 iff the y-coordinate above the
-      rational x-coordinate is unramified, i.e. the discriminant of the
-      y-quadratic is a square in Q_2^un; else e = 6.
-    * 0 roots: the resolvent cubic separates SL2(F_3) (irreducible
-      resolvent, e = 24) from C4/Q8 (split resolvent).  C4 vs Q8 is
-      decided by whether the quartic factors into two quadratics over
-      Q_2^un, equivalent to some split pair-partition having both
-      z^2 - 4 e0 and e3^2 - 4(e2 - z) square in Q_2^un.
+    Inertia acts on E[3] through a subgroup of SL2(F_3).  The 3-division
+    quartic x^4 - 6 c4 x^2 - 8 c6 x - 3 c4^2 has resolvent cubic
+    (z + 2 c4)^3 + 48^3 Delta, with a root -2 c4 - 48 Delta^(1/3) for each
+    cube root of Delta.  Over a field containing that cube root the
+    quartic splits into the pair of quadratics belonging to it iff
+    s = c4 - 12 Delta^(1/3) is a square there (c6 != 0).  An integral
+    model has v(c4) = 0 or v(c4) >= 4, so additive potentially good
+    models have v(c4) >= 4 (or c4 = 0) and v(c6) >= 3 (or c6 = 0).
     """
-    b2, b4, b6, b8 = m.b_invariants()
-    quartic = [27 * b8, 27 * b6, 9 * b4, b2, 1]
-
-    def analyze(R, roots):
-        if len(roots) == 4:
-            return 2
-        if len(roots) == 1:
-            x0 = R.mul(roots[0].value, R.inv(R.from_int(3)))
-            d0 = poly_eval(R, [R.from_int(c) for c in (b6, 2 * b4, b2, 4)], x0)
-            return 3 if R.is_square_unramified(d0) else 6
-        if len(roots) != 0:
-            return UNDETERMINED
-        # resolvent cubic of y^4 + a y^3 + b y^2 + c y + d
-        a, b, c, d = b2, 9 * b4, 27 * b6, 27 * b8
-        resolvent = [-(a * a * d - 4 * b * d + c * c), a * c - 4 * d, -b, 1]
-
-        # The partition discriminants z^2 - 4d and (a^2 - 4b) + 4z can be
-        # exactly zero (then the tested quantity is the square 0); record
-        # which resolvent roots make them vanish, as factors of a gcd.
-        gcd_coeffs = []
-        for other in ([-4 * d, 0, 1], [a * a - 4 * b, 4]):
-            g = _poly_gcd(resolvent, other)
-            gcd_coeffs.append(g if len(g) > 1 else None)
-
-        def classify(Rr, zroots):
-            def vanishes_exactly(z, which):
-                cs = gcd_coeffs[which]
-                if cs is None:
-                    return False
-                val = poly_eval(Rr, [Rr.from_int(co) for co in cs], z)
-                return Rr.val(val) >= Rr.N - 8
-
-            def square_or_zero(value, z, which):
-                try:
-                    return Rr.is_square_unramified(value)
-                except PrecisionError:
-                    if vanishes_exactly(z, which):
-                        return True
-                    raise
-
-            if len(zroots) == 0:
-                return 24
-            if len(zroots) != 3:
-                return UNDETERMINED
-            for z in zroots:
-                disc1 = Rr.sub(Rr.mul(z.value, z.value), Rr.from_int(4 * d))
-                disc2 = Rr.add(Rr.from_int(a * a - 4 * b), Rr.smul(4, z.value))
-                if (square_or_zero(disc1, z.value, 0)
-                        and square_or_zero(disc2, z.value, 1)):
-                    return 4
+    a, b, g = t.v_c4, t.v_c6, t.v_delta  # a, b are None for c4, c6 = 0
+    if g % 3 == 0:
+        # Delta^(1/3) lies in Q_2^un and inertia is C2, C4 or Q8 (e = 2, 4,
+        # 8): Q8 iff s is not a square in Q_2^un, C2 iff all three are
+        k = g // 3
+        if a == k + 1 or a == k + 3:
+            # then c4~ = 1 mod 8, resp. Delta~ = 1 mod 4, and s is no square
             return 8
-
-        return with_unramified_roots(resolvent, 2, classify)
-
-    try:
-        return with_unramified_roots(quartic, 2, analyze)
-    except PrecisionError:
-        return UNDETERMINED
+        if a == k + 2:
+            # s = 2^(2b - 2k - 4) c6~^2 / (unit = 2 - c4~ Delta~ mod 4): a
+            # square iff 2b = 3k + 7, and then its conjugates have odd
+            # valuation k + 2
+            return 4 if b is not None and 2 * b == 3 * k + 7 else 8
+        # a = k: v(j) = 0, so inertia is {+-1}.  a >= k + 4 (or c4 = 0):
+        # Delta~ = 5 mod 8, so s and its conjugates are
+        # -3 * 2^(k+2) zeta Delta^(1/3) (1 + 4x), all squares
+        return 2
+    # 3 | e.  Over K = Q_2^un(2^(1/3)) inertia is Q8, {+-1} or trivial
+    # (e = 24, 6, 3); it is not Q8 iff s is a square in K.  Odd v(Delta)
+    # rules that out, since a twist with good reduction needs
+    # 3 v(Delta) = 0 mod 6 in K.
+    if g % 2:
+        return 24
+    # n = v(c4^3) - v(1728 Delta), and pi = 2^(1/3): s is pi^(even) times
+    # (1 + pi^|n| * unit) up to a square, and that is a square in K (one
+    # congruent to a square mod 4) only for n >= 7 (or c4 = 0), for n = 2
+    # with c4~ = 3 mod 4 and for n = -2 with Delta~ = 3 mod 4
+    n = None if a is None else 3 * a - g - 6
+    if n == 2:
+        split = t.c4_tilde % 4 == 3
+    elif n == -2:
+        split = t.delta_tilde % 4 == 3
+    else:
+        split = n is None or n >= 7
+    if not split:
+        return 24
+    # e = 3 is good reduction over K: conductor exponent 2, so Kodaira
+    # type IV or IV* and v(Delta) in {4, 8}.  An integral model over K
+    # with these c4, c6 exists for one sign of c6 only: c6~ = 3 mod 4 on
+    # (4, 6, 8), where v(a1) = 1, and c6~ = 1 mod 4 otherwise, where
+    # c6/(-216) = a3^2 mod 4.  The twist by -1 flips that sign.
+    if g not in (4, 8):
+        return 6
+    return 3 if t.c6_tilde % 4 == (3 if n == -2 else 1) else 6
 
 
 def _nonabelian(ell: int, e: int, tilde: TildeInvariants) -> str:
@@ -225,14 +181,13 @@ def defect(m: WeierstrassModel, ell: int) -> DefectProfile:
     if kind != ReductionKind.ADDITIVE_POT_GOOD:
         raise WrongReductionKindError(
             f"defect requires additive potentially good reduction at {ell}, got {kind}")
-    mm = minimal_model_at(m, ell)
-    tilde = tilde_invariants(mm, ell)
+    tilde = tilde_invariants(m, ell)
     if ell >= 5:
         e = _defect_tame(tilde.v_delta)
     elif ell == 3:
-        e = _defect_3(mm)
+        e = _defect_3(tilde)
     else:
-        e = _defect_2(mm)
+        e = _defect_2(tilde)
     if e in (3, 4):
         nat = _nonabelian(ell, e, tilde)
     else:

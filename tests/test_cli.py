@@ -160,3 +160,16 @@ def test_console_script_entry():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["g"] == 26
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    # the parser is built once per process; an appended --assume must not
+    # carry over into the next call
+    args = ["analyze", "--curve", "11a1", "--p", "29", "--scan-cap", "100"]
+    run_cli(args + ["--assume", "fm"], capsys)
+    _, second = run_cli(args, capsys)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    fresh = subprocess.run([sys.executable, "-m", "artifact.cli", *args],
+                           capture_output=True, text=True, env=env)
+    assert fresh.returncode == 0, fresh.stderr
+    assert second == fresh.stdout

@@ -56,3 +56,15 @@ def test_no_unreferenced_private_definitions():
             if d.name not in _referenced_names(others):
                 dead.append(f"{name}:{d.lineno} {d.name}")
     assert not dead, f"unreferenced private definitions: {dead}"
+
+
+def test_defect_does_no_field_arithmetic():
+    """The semistability defect is a table on the invariants: its module
+    imports nothing from the p-adic root finder or the finite fields."""
+    tree = ast.parse((SRC / "semistability.py").read_text())
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)}
+    modules |= {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    assert not [m for m in modules
+                if m and m.split(".")[-1] in ("padic", "fq")]

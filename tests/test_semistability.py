@@ -1,17 +1,21 @@
+import csv
+from pathlib import Path
+
 import pytest
-import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from artifact.corpus import corpus
 from artifact.localsolver import FinitePrime, solve_local
 from artifact.semistability import (
     WrongReductionKindError,
-    _poly_gcd,
+    _twist_classes,
     defect,
     e3_twist,
     good_twist,
 )
 from artifact.weierstrass import (
     ReductionKind,
+    SingularModelError,
     WeierstrassModel,
     minimal_model_at,
     quadratic_twist,
@@ -94,36 +98,6 @@ def test_tilde_congruences_from_corpus_notes():
     assert t.c6_tilde % 3 == 2 and t.delta_tilde % 3 == 2
 
 
-T = sympy.Symbol("T")
-
-
-@pytest.mark.parametrize("shared", [
-    T - 3, 2 * T + 1,                    # a shared linear factor
-    T ** 2 + 2 * T - 7, 3 * T ** 2 + 1,  # a shared quadratic factor
-    sympy.Integer(1),                    # no shared factor
-])
-@pytest.mark.parametrize("f_rest, g_rest", [
-    (T - 1, 4 * T + 3),
-    (T ** 2 + T + 1, 2 * T ** 2 - 5),
-    (T + 4, T ** 3 - 2 * T + 9),
-])
-def test_poly_gcd_matches_sympy(shared, f_rest, g_rest):
-    # the inputs are primitive, so sympy's gcd over ZZ is primitive too and
-    # equals the monic gcd over QQ cleared of its denominators
-    f = sympy.Poly(shared * f_rest, T)
-    g = sympy.Poly(shared * g_rest, T)
-    ref = sympy.gcd(f, g)
-    denom = sympy.lcm([sympy.fraction(co)[1] for co in ref.all_coeffs()])
-    expected = [int(co * denom) for co in reversed(ref.all_coeffs())]
-
-    def ints(P):
-        return [int(c) for c in reversed(P.all_coeffs())]
-
-    assert _poly_gcd(ints(f), ints(g)) == expected
-    assert _poly_gcd(ints(g), ints(f)) == expected
-    assert len(expected) - 1 == sympy.degree(shared, T)
-
-
 def test_defect_memo():
     defect.cache_clear()
     first = defect(W(0, 0, 0, -1, 0), 2)
@@ -140,3 +114,86 @@ def test_defect_memo():
     defect.cache_clear()
     assert solve_local(tw, 7, FinitePrime(3)).rule.startswith("Twist-e2/")
     assert defect.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------------------
+# Kraus's tables at 2 and 3
+# ---------------------------------------------------------------------------
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "defect_e_fixture.csv"
+
+
+def test_defect_matches_frozen_fixture():
+    # e of the root-count implementation (3-division quartic, resolvent
+    # cubic and 2-division cubic over Q_ell^un) on one model per class of
+    # valuations and unit parts mod 16 (ell = 2) or mod 27 (ell = 3)
+    rows = list(csv.reader(FIXTURE.open()))
+    assert len(rows) > 8000
+    seen = set()
+    for ell, a1, a2, a3, a4, a6, e in rows:
+        ell = int(ell)
+        prof = defect(W(int(a1), int(a2), int(a3), int(a4), int(a6)), ell)
+        assert prof.e == int(e), (ell, a1, a2, a3, a4, a6)
+        seen.add((ell, prof.e))
+    assert seen == {(2, e) for e in (2, 3, 4, 6, 8, 24)} | {
+        (3, e) for e in (2, 3, 4, 6, 12)}
+
+
+@st.composite
+def additive_models(draw, ell):
+    """An ell-minimal, additive, potentially good model: a_i scaled by
+    random powers of ell, then twisted."""
+    a = [ell ** draw(st.integers(0, k)) * draw(st.integers(-10 ** 4, 10 ** 4))
+         for k in (2, 3, 3, 5, 7)]
+    try:
+        m = W(*a)
+    except SingularModelError:
+        assume(False)
+    d = draw(st.sampled_from([1, -1, 2, -2, 3, -3, 6, -6]))
+    m = minimal_model_at(m if d == 1 else quadratic_twist(m, d), ell)
+    assume(reduction_kind(m, ell) == ReductionKind.ADDITIVE_POT_GOOD)
+    return m
+
+
+@pytest.mark.parametrize("ell, values", [(2, {2, 3, 4, 6, 8, 24}),
+                                         (3, {2, 3, 4, 6, 12})])
+def test_defect_divides_discriminant_valuation(ell, values):
+    # the minimal discriminant becomes a unit over a field of ramification
+    # index e: 12 | e v(Delta_min)
+    @settings(max_examples=400, deadline=None)
+    @given(additive_models(ell))
+    def check(m):
+        prof = defect(m, ell)
+        assert prof.e in values
+        assert prof.e * prof.tilde.v_delta % 12 == 0
+
+    check()
+
+
+@pytest.mark.parametrize("ell, fixed", [(2, {8, 24}), (3, {12})])
+def test_defect_invariant_under_twist(ell, fixed):
+    # inertia images Q8, SL2(F3) (ell = 2) and C3 x| C4 (ell = 3) contain -1
+    # as their unique involution, so no quadratic twist changes e
+    @settings(max_examples=200, deadline=None)
+    @given(additive_models(ell))
+    def check(m):
+        e = defect(m, ell).e
+        assume(e in fixed)
+        for d in _twist_classes(ell):
+            assert defect(quadratic_twist(m, d), ell).e == e, d
+
+    check()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=5, max_size=5))
+def test_defect_3_at_2_twists_to_6(r):
+    # C3 times the ramified character of Q_2(sqrt(-1)) is C6.  Models with
+    # 2 | a1, 4 | a2, a4 and v(a3) = 1 have e = 3 about a quarter of the time.
+    try:
+        m = W(2 * r[0], 4 * r[1], 2 * (2 * r[2] + 1), 4 * r[3], r[4])
+    except SingularModelError:
+        assume(False)
+    assume(reduction_kind(m, 2) == ReductionKind.ADDITIVE_POT_GOOD)
+    assume(defect(m, 2).e == 3)
+    assert defect(quadratic_twist(m, -1), 2).e == 6
