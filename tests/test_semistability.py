@@ -2,9 +2,11 @@ import csv
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from artifact.corpus import corpus
+from artifact.fq import flx_gcd, flx_mod
 from artifact.localsolver import FinitePrime, solve_local
 from artifact.semistability import (
     WrongReductionKindError,
@@ -96,6 +98,41 @@ def test_tilde_congruences_from_corpus_notes():
     assert t.c6_tilde % 3 == 1 and t.delta_tilde % 3 == 2
     t = _prof((0, 0, 0, -21, -40), 3).tilde      # 25920v1 substitute
     assert t.c6_tilde % 3 == 2 and t.delta_tilde % 3 == 2
+
+
+T = sympy.Symbol("T")
+
+
+@pytest.mark.parametrize("shared", [
+    T - 3, 2 * T + 1,                    # a shared linear factor
+    T ** 2 + 2 * T - 7, 3 * T ** 2 + 1,  # a shared quadratic factor
+    sympy.Integer(1),                    # no shared factor
+])
+@pytest.mark.parametrize("f_rest, g_rest", [
+    (T - 1, 4 * T + 3),
+    (T ** 2 + T + 1, 2 * T ** 2 - 5),
+    (T + 4, T ** 3 - 2 * T + 9),
+])
+def test_poly_gcd_matches_sympy(shared, f_rest, g_rest):
+    # The defect takes no gcd: it is read from valuations and unit parts.
+    # The gcd over F_ell that padic takes with x^ell - x for residue roots
+    # must be sympy's monic gcd over GF(ell), also where the leading
+    # coefficient of the shared factor vanishes mod ell (2T + 1 at 2,
+    # 3T^2 + 1 at 3).
+    for ell in (2, 3, 5, 7, 29):
+        def ints(expr):
+            P = sympy.Poly(expr, T, modulus=ell)
+            return [int(c) % ell for c in reversed(P.all_coeffs())]
+
+        f, g = ints(shared * f_rest), ints(shared * g_rest)
+        ref = sympy.gcd(sympy.Poly(shared * f_rest, T, modulus=ell),
+                        sympy.Poly(shared * g_rest, T, modulus=ell))
+        expected = [int(c) % ell for c in reversed(ref.all_coeffs())]
+        assert expected[-1] == 1
+        assert flx_gcd(ell, f, g) == expected, ell
+        assert flx_gcd(ell, g, f) == expected, ell
+        # the shared factor, reduced mod ell, divides the gcd
+        assert flx_mod(ell, expected, ints(shared)) in ([], [0]), ell
 
 
 def test_defect_memo():
