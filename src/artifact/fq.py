@@ -10,10 +10,10 @@ Polynomials come in two representations, each with one owner:
 * ``flx_*``: polynomials over the prime field F_ell as little-endian int
   lists.  Division polynomials and Frobenius modules (``fqcurves``) and
   the irreducibility test behind ``conway_like_modulus`` use these.
-* ``poly_*``: polynomials over any field with the ``Fq`` protocol (``Fq``
-  or ``QuadExt``) as lists of field elements.  Root finding in extension
-  fields uses these: the residue roots of ``padic``, field embeddings
-  and the pairing fields of ``fqcurves``.
+* ``poly_*``: polynomials over any ring with the ``Fq`` protocol (``Fq``
+  or ``QuadExt``) as lists of its elements.  Root finding in extension
+  fields uses these: the residue roots of ``padic`` and the pairing
+  fields of ``fqcurves``.
 """
 
 from __future__ import annotations
@@ -76,22 +76,23 @@ def flx_mul(ell: int, f, g):
 
 
 def flx_divmod(ell: int, f, g):
-    f = flx_trim(list(f))
-    g = flx_trim(list(g))
-    dg = flx_deg(g)
-    if dg < 0:
+    """(quotient, remainder) in one pass: each coefficient of f is reduced
+    mod ell once, when the pass reads it, and both results are trimmed at
+    the end."""
+    g = flx_trim(g)
+    dg = len(g) - 1
+    if dg == 0 and g[0] % ell == 0:
         raise ZeroDivisionError
     inv = pow(g[-1], -1, ell)
-    quot = [0] * max(1, len(f) - dg)
     rem = list(f)
-    while flx_deg(rem) >= dg:
-        dr = flx_deg(rem)
-        c = (rem[dr] * inv) % ell
-        quot[dr - dg] = c
-        for j in range(dg + 1):
-            rem[dr - dg + j] = (rem[dr - dg + j] - c * g[j]) % ell
-        rem = flx_trim(rem)
-    return flx_trim(quot), rem
+    quot = [0] * max(1, len(rem) - dg)
+    for i in range(len(rem) - 1 - dg, -1, -1):
+        c = rem[i + dg] * inv % ell
+        if c:
+            quot[i] = c
+            for j in range(dg):
+                rem[i + j] -= c * g[j]
+    return flx_trim(quot), flx_trim([c % ell for c in rem[:dg]] or [0])
 
 
 def flx_mod(ell: int, f, g):
@@ -447,16 +448,22 @@ def poly_root_multiplicity(F: Fq, f, r) -> int:
 
 
 class QuadExt:
-    """Quadratic extension B(sqrt(D)) of a field B with D a non-square.
+    """The quadratic ring L = B[Y]/(Y^2 + bY - c) over a field B.
 
-    Elements are pairs (a, b) of B-elements meaning a + b*sqrt(D).
-    Implements the same protocol as Fq so the polynomial helpers above
-    work over it.
+    Elements are pairs (u, v) of B-elements meaning u + vY, multiplied
+    with Y^2 = c - bY.  The conjugate of u + vY is u - vb - vY (the other
+    root of the quadratic is -b - Y), and their product is the norm
+    u^2 - uvb - v^2c, so an element is invertible iff its norm is nonzero.
+    L is a field when the quadratic is irreducible over B; when it splits
+    with distinct roots, L is isomorphic to B x B and its zero divisors
+    are the nonzero elements of norm 0.  Implements the same protocol as
+    Fq, so curves and ``poly_eval`` work over it.
     """
 
-    def __init__(self, base: Fq, D):
+    def __init__(self, base: Fq, b, c):
         self.base = base
-        self.D = D
+        self.b = b
+        self.c = c
         self.ell = base.ell
         self.k = 2 * base.k
         self.q = base.q**2
@@ -468,7 +475,7 @@ class QuadExt:
         return (self.base.one(), self.base.zero())
 
     def gen(self):
-        """sqrt(D)."""
+        """Y."""
         return (self.base.zero(), self.base.one())
 
     def from_int(self, n: int):
@@ -476,10 +483,6 @@ class QuadExt:
 
     def from_base(self, a):
         return (a, self.base.zero())
-
-    def from_index(self, idx: int):
-        return (self.base.from_index(idx % self.base.q),
-                self.base.from_index(idx // self.base.q))
 
     def add(self, x, y):
         return (self.base.add(x[0], y[0]), self.base.add(x[1], y[1]))
@@ -495,10 +498,12 @@ class QuadExt:
 
     def mul(self, x, y):
         B = self.base
-        a, b = x
-        c, d = y
-        return (B.add(B.mul(a, c), B.mul(B.mul(b, d), self.D)),
-                B.add(B.mul(a, d), B.mul(b, c)))
+        u1, v1 = x
+        u2, v2 = y
+        vv = B.mul(v1, v2)  # the coefficient of Y^2 = c - bY
+        cross = B.add(B.mul(u1, v2), B.mul(v1, u2))
+        return (B.add(B.mul(u1, u2), B.mul(vv, self.c)),
+                B.sub(cross, B.mul(vv, self.b)))
 
     def is_zero(self, x) -> bool:
         return self.base.is_zero(x[0]) and self.base.is_zero(x[1])
@@ -515,36 +520,14 @@ class QuadExt:
         return res
 
     def inv(self, x):
+        """The conjugate over the norm; ZeroDivisionError when the norm
+        is 0 (x = 0, or a zero divisor of a split L)."""
         B = self.base
-        a, b = x
-        norm = B.sub(B.mul(a, a), B.mul(B.mul(b, b), self.D))
+        u, v = x
+        ub = B.sub(u, B.mul(v, self.b))
+        norm = B.sub(B.mul(u, ub), B.mul(B.mul(v, v), self.c))
         ninv = B.inv(norm)
-        return (B.mul(a, ninv), B.neg(B.mul(b, ninv)))
+        return (B.mul(ub, ninv), B.neg(B.mul(v, ninv)))
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
-
-
-_EMBED_ROOT_CACHE: dict = {}
-
-
-def field_embed(small: Fq, a, big) -> tuple:
-    """Image of a in a bigger field (Fq with any modulus, or QuadExt)
-    under the fixed embedding sending the generator of `small` to the
-    least root of small.modulus in `big`."""
-    if small.k == 1:
-        return big.from_int(a[0])
-    key = (small.ell, small.k, small.modulus, id(big))
-    if key not in _EMBED_ROOT_CACHE:
-        coeffs = [big.from_int(c) for c in small.modulus]
-        roots = poly_roots(big, coeffs)
-        if not roots:
-            raise ValueError("no embedding: modulus has no root in target")
-        _EMBED_ROOT_CACHE[key] = roots[0]
-    img = _EMBED_ROOT_CACHE[key]
-    res = big.zero()
-    power = big.one()
-    for c in a:
-        res = big.add(res, big.smul(c, power))
-        power = big.mul(power, img)
-    return res

@@ -25,7 +25,6 @@ from .arith import factorize, legendre
 from .fq import (
     Fq,
     QuadExt,
-    field_embed,
     flx_add,
     flx_deg,
     flx_divmod,
@@ -547,13 +546,22 @@ def _ord_mod_pm(x: int, p: int) -> int:
     return s
 
 
-def _is_scalar_action(C: CurveOverFq, p: int, lam: int) -> bool:
+def _is_scalar_action(C: CurveOverFq, p: int, a: int, lam: int) -> bool:
     """Does Frobenius act on E[p] as the scalar lam?  (Requires the
-    Frobenius polynomial discriminant to vanish mod p.)  Decided by
-    whether every p-torsion x-coordinate is rational over F_{ell^s},
-    s = ord(lam): that holds iff M^s = +-I, which under lam^s = 1 forces
-    M scalar."""
+    Frobenius polynomial discriminant a^2 - 4 ell to vanish mod p, a the
+    trace.)
+
+    Only when p^2 | a^2 - 4 ell (Duke-Toth 2002, "The splitting of primes
+    in division fields of elliptic curves", Experiment. Math. 11: Frobenius
+    is scalar mod p iff p divides the index [End E : Z[pi]]).  Proof: if
+    pi - lam kills E[p], it factors through the separable [p], so
+    pi - lam = p*beta with beta in End E, whose discriminant
+    (a^2 - 4 ell)/p^2 is then an integer.  Otherwise decided by whether
+    every p-torsion x-coordinate is rational over F_{ell^s}, s = ord(lam):
+    that holds iff M^s = +-I, which under lam^s = 1 forces M scalar."""
     ell = C.F.ell
+    if (a * a - 4 * ell) % (p * p):
+        return False
     s = _ord_mod(lam, p)
     psi = flx_monic(ell, division_polynomial(C, p))
     xqs = flx_powmod(ell, [0, 1], ell**s, psi)
@@ -654,7 +662,18 @@ def _unipotent_u_class(C: CurveOverFq, p: int, lam: int) -> int:
 
     For any p-torsion P outside the eigenline, e(P, (Frob - lam)P) =
     zeta^(-beta^2 u) for some beta != 0, so the class of u is the class
-    of minus the discrete log."""
+    of minus the discrete log.
+
+    P = (x0, Y) lives in L = K[Y]/(Y^2 + bY - c), K = F_ell(x0), with
+    b = a1 x0 + a3 and c = x0^3 + a2 x0^2 + a4 x0 + a6, so no square root
+    is taken.  The quadratic is separable: its discriminant b^2 + 4c
+    vanishes only at 2-torsion x in odd characteristic, and in
+    characteristic 2, b = 0 would put x0 in F_2.  When it is irreducible,
+    L is a field.  When it splits, L = K x K, and the two components carry
+    P and -P.  Every x-coordinate (so every vertical) is then diagonal,
+    and slope denominators and line values only change sign between the
+    components, so ``L.inv`` never meets a zero divisor; each component
+    computes the same pairing value, as e(-P, -R) = e(P, R)."""
     ell = C.F.ell
     factor, D = _nonkernel_factor(C, p, lam)
     # the quotient of F_ell[x] by the factor is itself a field model, so
@@ -662,29 +681,11 @@ def _unipotent_u_class(C: CurveOverFq, p: int, lam: int) -> int:
     K = Fq(ell, D, modulus=tuple(factor))
     x0 = K.gen()
     CK = C.base_change(K)
-    yroots = _solve_y(CK, x0)
-    if yroots:
-        L, xL, yL = K, x0, yroots[0]
-        CL = CK
-    elif ell != 2:
-        b = K.add(K.mul(CK.a1, x0), CK.a3)
-        rhs = K.add(
-            K.add(K.mul(x0, K.mul(x0, x0)), K.mul(CK.a2, K.mul(x0, x0))),
-            K.add(K.mul(CK.a4, x0), CK.a6),
-        )
-        disc = K.add(K.mul(b, b), K.smul(4, rhs))
-        L = QuadExt(K, disc)
-        inv2 = pow(2, -1, ell)
-        yL = L.smul(inv2, L.sub(L.gen(), L.from_base(b)))
-        xL = L.from_base(x0)
-        CL = C.base_change(L)
-    else:
-        L = Fq(ell, 2 * K.k)
-        xL = field_embed(K, x0, L)
-        CL = C.base_change(L)
-        yL = _solve_y(CL, xL)[0]
-
-    P = (xL, yL)
+    b = K.add(K.mul(CK.a1, x0), CK.a3)
+    c = K.add(K.mul(K.add(K.mul(K.add(x0, CK.a2), x0), CK.a4), x0), CK.a6)
+    L = QuadExt(K, b, c)
+    CL = C.base_change(L)
+    P = (L.from_base(x0), L.gen())
     FP = _point_frob(L, P, ell)
     R = CL.add(FP, CL.neg(CL.smul(lam, P)))
     if R is None:  # pragma: no cover - factor chosen outside the eigenline
@@ -717,7 +718,7 @@ def frobenius_module(C: CurveOverFq, p: int) -> FrobeniusModule:
         M = ((0, (-qp) % p), (1, ap))
     else:
         lam = (ap * pow(2, -1, p)) % p
-        if _is_scalar_action(C, p, lam):
+        if _is_scalar_action(C, p, a, lam):
             M = ((lam, 0), (0, lam))
         else:
             cls = _unipotent_u_class(C, p, lam)
@@ -733,7 +734,12 @@ def frobenius_module(C: CurveOverFq, p: int) -> FrobeniusModule:
 
 def torsion_field_degree(C: CurveOverFq, p: int) -> int:
     """Least k' with full p-torsion over F_{ell^k'}; equals the order of
-    the Frobenius matrix in GL2(F_p)."""
+    the Frobenius matrix in GL2(F_p).  With a double eigenvalue lam that
+    is ord(lam) for a scalar matrix and p*ord(lam) otherwise.  The matrix
+    can be scalar only when p^2 | a^2 - 4 ell (Duke-Toth 2002): then
+    pi - lam = p*beta with beta in End E, and (a^2 - 4 ell)/p^2 is the
+    discriminant of beta.  Every other case is decided from ints, without
+    psi_p (``_is_scalar_action``)."""
     F = C.F
     _check_prime_field(F, p)
     a = trace_of_frobenius(C)
@@ -741,7 +747,7 @@ def torsion_field_degree(C: CurveOverFq, p: int) -> int:
     if (ap * ap - 4 * qp) % p == 0:
         lam = (ap * pow(2, -1, p)) % p
         s = _ord_mod(lam, p)
-        return s if _is_scalar_action(C, p, lam) else p * s
+        return s if _is_scalar_action(C, p, a, lam) else p * s
     # distinct eigenvalues: the order of the matrix is the lcm of theirs
     Fp2 = Fq(p, 2)
     r1, r2 = poly_roots(Fp2, [Fp2.from_int(qp), Fp2.from_int(-ap), Fp2.one()])

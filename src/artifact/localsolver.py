@@ -467,7 +467,12 @@ def compare_symplectic(m1: WeierstrassModel, m2: WeierstrassModel,
 def _square_class_zl(value: int, ell: int, known_prec: int):
     """True/False: is a nonzero ell-adic integer known to this precision a
     square in Q_ell?  Raises PrecisionError when the precision is
-    insufficient."""
+    insufficient.
+
+    The slack is still needed, and is exact rather than a margin: padic's
+    root precisions are honest, so value is right to known_prec digits,
+    and its square class ell^v * u is read from digits v .. v + slack - 1
+    (u mod ell for odd ell, u mod 8 at ell = 2)."""
     slack = 3 if ell == 2 else 1
     if value % (ell ** known_prec) == 0 or value == 0:
         raise PrecisionError("root known to too few digits")

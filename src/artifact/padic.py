@@ -3,8 +3,11 @@
 Such a polynomial has all its Q_ell-roots in Z_ell, and they are found
 modulo ell^N on plain ints: the roots modulo ell of the polynomial
 (stripped of its ell-power content), Newton's iteration from each simple
-one, and digit lifting (x = alpha + ell*w) below each multiple one.  The
-3-torsion test of ``localsolver`` uses this for any ell.
+one, and digit lifting (x = alpha + ell*w) below each multiple one.  Each
+root carries the digits it is known to: stripping a content ell^mu from
+coefficients known modulo ell^M leaves them known modulo ell^(M - mu), and
+every lifted digit adds one.  The 3-torsion test of ``localsolver`` uses
+this for any ell.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ class PrecisionError(ArithmeticError):
 
 @dataclass
 class Root:
-    value: int  # in [0, ell^N)
+    value: int  # in [0, ell^precision)
     precision: int  # valid modulo ell^precision
 
 
@@ -61,13 +64,16 @@ def _residue_roots(coeffs, ell: int) -> list[int]:
     return [r for (r,) in poly_roots(F, [F.from_int(c) for c in g])]
 
 
-def _roots(coeffs, ell: int, N: int, depth: int) -> list[Root]:
-    if depth > N - 6:
-        raise PrecisionError("digit lifting exceeded precision budget")
-    mod = ell**N
-    mu = min(valuation(c, ell) if c else N for c in coeffs)
-    if mu >= N - 2:
+def _roots(coeffs, ell: int, prec: int) -> list[Root]:
+    """Z_ell-roots of a polynomial whose coefficients are known modulo
+    ell^prec, each to the digits it is known to."""
+    mod = ell**prec
+    coeffs = [c % mod for c in coeffs]
+    mu = min(valuation(c, ell) if c else prec for c in coeffs)
+    if mu >= prec - 2:
         raise PrecisionError("polynomial vanishes at working precision")
+    prec -= mu
+    mod = ell**prec
     coeffs = [c // ell**mu for c in coeffs]
     deriv = [i * c % mod for i, c in enumerate(coeffs)][1:]
     roots = []
@@ -75,15 +81,15 @@ def _roots(coeffs, ell: int, N: int, depth: int) -> list[Root]:
         if _eval(deriv, alpha, ell):
             # a simple root: Newton's iteration
             x = alpha
-            for _ in range(N.bit_length() + 2):
+            for _ in range(prec.bit_length() + 2):
                 x = (x - _eval(coeffs, x, mod)
                      * pow(_eval(deriv, x, mod), -1, mod)) % mod
-            roots.append(Root(x, N - depth))
+            roots.append(Root(x, prec))
         else:
             shifted = _shift(coeffs, alpha, mod)
             scaled = [ell**j * c % mod for j, c in enumerate(shifted)]
-            roots += [Root((alpha + ell * sub.value) % mod, sub.precision)
-                      for sub in _roots(scaled, ell, N, depth + 1)]
+            roots += [Root(alpha + ell * sub.value, sub.precision + 1)
+                      for sub in _roots(scaled, ell, prec)]
     return roots
 
 
@@ -101,8 +107,7 @@ def with_unramified_roots(int_coeffs: list[int], ell: int, fn):
     N = 2 * valuation(disc, ell) + 20
     for _ in range(4):
         try:
-            mod = ell**N
-            return fn(_roots([c % mod for c in int_coeffs], ell, N, 0))
+            return fn(_roots(int_coeffs, ell, N))
         except PrecisionError:
             N *= 2
     raise PrecisionError("could not certify computation at any tried precision")

@@ -4,7 +4,11 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from artifact.fq import Fq, poly_roots
+from artifact import fqcurves
+from artifact.arith import legendre
+from artifact.fq import (
+    Fq, QuadExt, flx_mod, flx_monic, flx_powmod, poly_eval, poly_roots,
+)
 from artifact.fqcurves import (
     ANTI_SYMPLECTIC_ONLY,
     BOTH,
@@ -12,6 +16,7 @@ from artifact.fqcurves import (
     SYMPLECTIC_ONLY,
     CurveOverFq,
     count_points,
+    curve_classes,
     det_class_conjugacy,
     division_polynomial,
     frob_disc,
@@ -23,7 +28,15 @@ from artifact.fqcurves import (
     trace_of_frobenius,
     weil_pairing,
 )
-from artifact.fqcurves import SingularCurveError, _division_cache, _solve_y
+from artifact.fqcurves import (
+    SingularCurveError,
+    _division_cache,
+    _nonkernel_factor,
+    _point_frob,
+    _solve_y,
+    _weil,
+    _zeta_class_polys,
+)
 
 
 def test_count_fixture_f4():
@@ -334,3 +347,138 @@ def test_weil_pairing_rejects_points_outside_torsion():
         weil_pairing(C, P, None, 5)
     with pytest.raises(ValueError):
         weil_pairing(C, None, P, 5)
+
+
+# ---------------------------------------------------------------------------
+# The Frobenius module's double-eigenvalue path: the scalar test by the
+# trace, and the torsion point's y in a quadratic ring.
+# ---------------------------------------------------------------------------
+
+def _primes_below(n):
+    return [q for q in range(2, n) if all(q % d for d in range(2, q))]
+
+
+def _double_eigenvalue_cases(ells, ps=(3, 5, 7)):
+    """(C, p, a, lam) for every class of ``curve_classes(ell)`` and every
+    p != ell with p | a^2 - 4 ell, a the trace and lam = a/2 mod p."""
+    for ell in ells:
+        for ai in curve_classes(ell):
+            C = CurveOverFq(Fq(ell, 1), *ai)
+            a = trace_of_frobenius(C)
+            for p in ps:
+                if p != ell and (a * a - 4 * ell) % p == 0:
+                    yield C, p, a, a * pow(2, -1, p) % p
+
+
+def _scalar_by_psi(C, p, lam):
+    """The psi_p test alone: every p-torsion x-coordinate is rational over
+    F_{ell^s}, s = ord(lam), with no shortcut from the trace."""
+    ell = C.F.ell
+    s = next(s for s in range(1, p) if pow(lam, s, p) == 1)
+    psi = flx_monic(ell, division_polynomial(C, p))
+    return flx_powmod(ell, [0, 1], ell**s, psi) == flx_mod(ell, [0, 1], psi), s
+
+
+def test_scalar_frobenius_needs_p_squared_in_discriminant(monkeypatch):
+    # pi - lam = p*beta with beta in End E when Frobenius is scalar mod p,
+    # so p^2 | a^2 - 4 ell; the psi_p test must agree on every class
+    monkeypatch.setattr(fqcurves, "_unipotent_u_class", lambda C, p, lam: 1)
+    cases = scalars = 0
+    for C, p, a, lam in _double_eigenvalue_cases(_primes_below(60)):
+        scalar, s = _scalar_by_psi(C, p, lam)
+        cases += 1
+        scalars += scalar
+        assert not scalar or (a * a - 4 * C.F.ell) % (p * p) == 0
+        M = frobenius_module(C, p).matrix
+        assert (M == ((lam, 0), (0, lam))) == scalar
+        assert torsion_field_degree(C, p) == (s if scalar else p * s)
+    assert cases > 500 and scalars > 0
+
+
+def _field_embed(small, a, big):
+    """Image of a in big under the embedding that sends the generator of
+    small to the least root of small's modulus in big."""
+    root = poly_roots(big, [big.from_int(c) for c in small.modulus])[0]
+    res, power = big.zero(), big.one()
+    for c in a:
+        res = big.add(res, big.smul(c, power))
+        power = big.mul(power, root)
+    return res
+
+
+def _reference_u_class(C, p, lam):
+    """(class of u, case): the torsion point's y by a square root in K when
+    there is one ("split"), else in K(sqrt(disc)) for odd ell or in
+    F_{2^{2D}} through a field embedding for ell = 2 ("non-split")."""
+    ell = C.F.ell
+    factor, D = _nonkernel_factor(C, p, lam)
+    K = Fq(ell, D, modulus=tuple(factor))
+    x0 = K.gen()
+    CK = C.base_change(K)
+    yroots = _solve_y(CK, x0)
+    if yroots:
+        L, P, case = K, (x0, yroots[0]), "split"
+    elif ell != 2:
+        b = K.add(K.mul(CK.a1, x0), CK.a3)
+        rhs = K.add(
+            K.add(K.mul(x0, K.mul(x0, x0)), K.mul(CK.a2, K.mul(x0, x0))),
+            K.add(K.mul(CK.a4, x0), CK.a6),
+        )
+        L = QuadExt(K, K.zero(), K.add(K.mul(b, b), K.smul(4, rhs)))
+        yL = L.smul(pow(2, -1, ell), L.sub(L.gen(), L.from_base(b)))
+        P, case = (L.from_base(x0), yL), "non-split"
+    else:
+        L = Fq(ell, 2 * D)
+        xL = _field_embed(K, x0, L)
+        P, case = (xL, _solve_y(C.base_change(L), xL)[0]), "non-split"
+    CL = C.base_change(L)
+    R = CL.add(_point_frob(L, P, ell), CL.neg(CL.smul(lam, P)))
+    z0 = _weil(CL, P, R, p)
+    sq_poly, nonsq_poly = _zeta_class_polys(ell, p)
+    for cls, ints in ((1, sq_poly), (-1, nonsq_poly)):
+        if L.is_zero(poly_eval(L, [L.from_int(c) for c in ints], z0)):
+            return cls, case
+    raise AssertionError("pairing value is not a primitive p-th root")
+
+
+def test_unipotent_class_matches_square_root_reference():
+    seen = set()
+    for C, p, a, lam in _double_eigenvalue_cases((2, 3, 5, 7, 11, 13)):
+        M = frobenius_module(C, p).matrix
+        if M == ((lam, 0), (0, lam)):
+            continue
+        cls, case = _reference_u_class(C, p, lam)
+        assert legendre(M[0][1], p) == cls, (C, p)
+        seen.add((C.F.ell == 2, case))
+    assert seen == {(odd_or_two, case) for odd_or_two in (False, True)
+                    for case in ("split", "non-split")}
+
+
+def _quad_ring(split):
+    """Y^2 + bY - c over F_{5^3} with b != 0: (Y - r1)(Y - r2) when split,
+    else with the first c making b^2 + 4c a non-square."""
+    K = Fq(5, 3)
+    b = K.gen()
+    if split:
+        r1, r2 = K.from_index(7), K.from_index(31)
+        return QuadExt(K, K.neg(K.add(r1, r2)), K.neg(K.mul(r1, r2)))
+    c = next(c for c in K.elements()
+             if not K.is_square(K.add(K.mul(b, b), K.smul(4, c))))
+    return QuadExt(K, b, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.integers(0, 124), st.integers(0, 124))
+def test_quad_ring_inverse(split, iu, iv):
+    L = _quad_ring(split)
+    K = L.base
+    x = (K.from_index(iu), K.from_index(iv))
+    u, v = x
+    norm = K.sub(K.mul(u, K.sub(u, K.mul(v, L.b))), K.mul(K.mul(v, v), L.c))
+    if K.is_zero(norm):
+        with pytest.raises(ZeroDivisionError):
+            L.inv(x)
+        return
+    assert L.mul(x, L.inv(x)) == L.one()
+    # Y^2 = c - bY
+    assert L.mul(L.gen(), L.gen()) == (L.c, K.neg(L.b))

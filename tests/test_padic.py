@@ -70,3 +70,38 @@ def test_rejects_non_squarefree():
 def test_rejects_non_unit_leading():
     with pytest.raises(ValueError):
         _roots([1, 0, 5], 5)
+
+
+def _product(rs):
+    f = [1]
+    for r in rs:
+        f = [a - r * b for a, b in zip([0] + f, f + [0])]
+    return f
+
+
+def _matches_a_true_root(root, rs, ell):
+    return any((root.value - r) % ell ** root.precision == 0 for r in rs)
+
+
+def test_precision_counts_stripped_digits():
+    # x^3 - 4x at 2: below the double residue root 0 the content strips
+    # lose 3 and then 2 digits, so the roots 2 and -2 are known to 33 of
+    # the 36 working digits, not to 34
+    roots = _roots([0, -4, 0, 1], 2)
+    assert len(roots) == 3
+    for root in roots:
+        assert _matches_a_true_root(root, (0, 2, -2), 2), root
+        assert 0 <= root.value < 2 ** root.precision
+    assert sorted(root.precision for root in roots) == [33, 33, 34]
+
+
+@given(st.sampled_from([2, 3, 5]), st.integers(-50, 50), st.integers(1, 12),
+       st.lists(st.integers(-20, 20), min_size=2, max_size=4, unique=True))
+def test_close_roots_match_to_their_precision(ell, base, k, offsets):
+    # roots r_i = base + ell^k t_i agree to k digits or more; every
+    # returned root must agree with a true root to the digits it claims
+    rs = [base + ell ** k * t for t in offsets]
+    found = _roots(_product(rs), ell)
+    assert len(found) == len(rs)
+    for root in found:
+        assert _matches_a_true_root(root, rs, ell), (root, rs)
