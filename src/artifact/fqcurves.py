@@ -16,6 +16,7 @@ fields, pairing fields) are built from the factors found there.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .fq import (
     poly_eval,
     poly_roots,
 )
+from .semistability import InternalInconsistencyError
 
 # DetClassVerdict values
 NOT_ISOMORPHIC = "NotIsomorphic"
@@ -831,28 +833,8 @@ def weil_pairing(C: CurveOverFq, P, Q, p: int):
 
 
 # ---------------------------------------------------------------------------
-# Matrix helpers and determinant-class conjugacy.
+# Determinant-class conjugacy.
 # ---------------------------------------------------------------------------
-
-def mat_mul(A, B, p: int):
-    return (
-        ((A[0][0] * B[0][0] + A[0][1] * B[1][0]) % p,
-         (A[0][0] * B[0][1] + A[0][1] * B[1][1]) % p),
-        ((A[1][0] * B[0][0] + A[1][1] * B[1][0]) % p,
-         (A[1][0] * B[0][1] + A[1][1] * B[1][1]) % p),
-    )
-
-
-def mat_order(A, p: int) -> int:
-    """Multiplicative order by naive repeated multiplication (oracle)."""
-    identity = ((1, 0), (0, 1))
-    M = A
-    for n in range(1, p * (p * p - 1) + 1):
-        if M == identity:
-            return n
-        M = mat_mul(M, A, p)
-    raise ValueError("matrix is not invertible")
-
 
 def _symplectic_unipotent_class(M, lam: int, p: int) -> int:
     """Square class of <x, Nx> for N = M - lam*I and any x outside ker N;
@@ -914,74 +896,106 @@ def _transform_tuple(ai, ell: int, u: int, r: int, s: int, t: int):
 
 
 def _iso_class_key(ai, ell: int):
-    """Canonical representative of the F_ell-isomorphism class."""
-    if ell >= 5:
-        # short form (0, 0, 0, a, b); (a, b) ~ (u^4 a, u^6 b)
-        _, _, _, a, b = ai
-        best = None
-        for u in range(1, ell):
-            cand = (0, 0, 0, (pow(u, 4, ell) * a) % ell,
-                    (pow(u, 6, ell) * b) % ell)
-            if best is None or cand < best:
-                best = cand
-        return best
-    best = None
-    for u in range(1, ell):
-        for r in range(ell):
-            for s in range(ell):
-                for t in range(ell):
-                    cand = _transform_tuple(ai, ell, u, r, s, t)
-                    if best is None or cand < best:
-                        best = cand
-    return best
+    """Canonical representative of the F_ell-isomorphism class for
+    ell in {2, 3}: the least image under every change of variables."""
+    return min(_transform_tuple(ai, ell, u, r, s, t)
+               for u in range(1, ell) for r in range(ell)
+               for s in range(ell) for t in range(ell))
 
 
 @lru_cache(maxsize=None)
 def curve_classes(ell: int) -> tuple:
     """Integer a-invariant tuples, one per F_ell-isomorphism class of
-    elliptic curves over F_ell."""
-    F = Fq(ell, 1)
-    reps = {}
-    if ell >= 5:
-        for a in range(ell):
-            for b in range(ell):
-                if (4 * a**3 + 27 * b**2) % ell == 0:
-                    continue
-                ai = (0, 0, 0, a, b)
-                key = _iso_class_key(ai, ell)
-                reps.setdefault(key, key)
-    else:
-        import itertools
+    elliptic curves over F_ell, in increasing order.
 
+    For ell >= 5 a class is the orbit of a short model (0, 0, 0, a, b)
+    under (a, b) -> (u^4 a, u^6 b), named by its least member.  The pairs
+    are visited in increasing order, so the first unseen pair of an orbit
+    is its least member, and marking the whole orbit seen makes the work
+    O(ell^2)."""
+    if ell < 5:
+        F = Fq(ell, 1)
+        keys = set()
         for ai in itertools.product(range(ell), repeat=5):
             try:
                 CurveOverFq(F, *ai)
             except SingularCurveError:
                 continue
-            key = _iso_class_key(ai, ell)
-            reps.setdefault(key, key)
-    return tuple(sorted(reps.values()))
+            keys.add(_iso_class_key(ai, ell))
+        return tuple(sorted(keys))
+    scales = [(pow(u, 4, ell), pow(u, 6, ell)) for u in range(1, ell)]
+    seen = bytearray(ell * ell)
+    reps = []
+    for a in range(ell):
+        for b in range(ell):
+            if seen[a * ell + b] or (4 * a**3 + 27 * b * b) % ell == 0:
+                continue
+            for s4, s6 in scales:
+                seen[s4 * a % ell * ell + s6 * b % ell] = 1
+            reps.append((0, 0, 0, a, b))
+    return tuple(reps)
 
 
 def residual_module_search(C: CurveOverFq, p: int) -> list:
-    """All curves over F_ell (one per isomorphism class) whose Frobenius
-    module on the p-torsion is isomorphic to that of C, each tagged with
-    the determinant-class verdict of the comparison with C.  C itself is
-    always included."""
+    """All curves over F_ell (one per isomorphism class, by its
+    ``curve_classes`` representative) whose Frobenius module on the
+    p-torsion is isomorphic to that of C, each tagged with the
+    determinant-class verdict of the comparison with C.  The
+    representative of C's own class is always included.
+
+    The complete search, kept as the oracle of ``unipotent_search``."""
     F = C.F
     _check_prime_field(F, p)
-    ell = F.ell
     M1 = frobenius_module(C, p)
     a1 = trace_of_frobenius(C)
-    own_key = _iso_class_key(C.ai_ints, ell) if C.ai_ints else None
     out = []
-    for ai in curve_classes(ell):
-        E2 = C if ai == own_key else CurveOverFq(F, *ai)
-        a2 = trace_of_frobenius(E2)
-        if (a2 - a1) % p:
+    for ai in curve_classes(F.ell):
+        E2 = CurveOverFq(F, *ai)
+        if (trace_of_frobenius(E2) - a1) % p:
             continue
-        M2 = frobenius_module(E2, p)
-        verdict = det_class_conjugacy(M1.matrix, M2.matrix, p)
+        verdict = det_class_conjugacy(M1.matrix, frobenius_module(E2, p).matrix, p)
         if verdict != NOT_ISOMORPHIC:
             out.append((E2, verdict))
     return out
+
+
+@lru_cache(maxsize=None)
+def unipotent_search(ell: int, p: int, a: int) -> tuple:
+    """The residual search at a curve C over F_ell of trace a whose
+    Frobenius acts on C[p] as a non-scalar matrix, where a^2 - 4 ell =
+    -p*m^2 for p = 3 mod 4 and no prime q | m has (q/p) = -1 (conditions
+    (1)-(4) of ``localsolver._solve_good`` all failed; its docstring
+    proves what follows).
+
+    Returns (partner, None) when some a' != a with a' = a (mod p) has
+    a'^2 < 4 ell: partner is the a-invariant tuple of the first class of
+    ``curve_classes(ell)`` that ``residual_module_search(C, p)`` tags
+    anti-symplectic.  Otherwise returns (None, n), n the number of
+    classes the search finds, all symplectic-only: those of trace a
+    whose module is not scalar.
+
+    Every non-scalar curve of trace a carries C's module up to symplectic
+    isomorphism, so the first such class stands in for C, and the classes
+    of trace a themselves are never anti-symplectic.  The answer depends
+    on (ell, p, a) alone, hence the memo."""
+    lam = a * pow(2, -1, p) % p
+    F = Fq(ell, 1)
+
+    def classes(keep):
+        for ai in curve_classes(ell):
+            t = ell + 1 - _count_prime(ell, *ai)
+            if keep(t):
+                yield ai, CurveOverFq(F, *ai)
+
+    own = (E for _, E in classes(lambda t: t == a)
+           if not _is_scalar_action(E, p, a, lam))
+    if all((a + k * p) ** 2 >= 4 * ell for k in (1, -1)):
+        return None, sum(1 for _ in own)
+    M = frobenius_module(next(own), p).matrix
+    for ai, E in classes(lambda t: t != a and (t - a) % p == 0):
+        M2 = frobenius_module(E, p).matrix
+        if det_class_conjugacy(M, M2, p) == ANTI_SYMPLECTIC_ONLY:
+            return ai, None
+    raise InternalInconsistencyError(
+        f"over F_{ell}, no class of trace a' = {a} (mod {p}), a' != {a}, "
+        "is anti-symplectic")

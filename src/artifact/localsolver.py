@@ -17,9 +17,13 @@ tried) are:
                            square; p does not divide the order of the
                            Frobenius module; a prime q != ell dividing
                            Delta_ell with (q/p) = -1)
-    Search-antisymplectic  residual search found an anti-symplectic partner
-    Search-multiplicative-lift  the trace matches a multiplicative lift
-    Search-empty           exhaustive residual search rules everything out
+    Search-antisymplectic  residual search: some a' != a with a' = a (mod p)
+                           has a'^2 < 4 ell, so an anti-symplectic partner
+                           exists; the witness is the first such class
+    Search-multiplicative-lift  residual search: no such a', and the trace
+                           matches a multiplicative lift
+    Search-empty           residual search: no such a' (so ell < p^2/4) and
+                           no multiplicative lift; proven Empty
     Thm-good-p(1|2|4)      good reduction at ell = p: the applicable
                            sufficient conditions
     Cor-good-p-exception   ell = p, p = 7 mod 8, a_p = 0: open case
@@ -45,14 +49,12 @@ from dataclasses import dataclass, field
 
 from .arith import factorize, is_prime, legendre, squarefree_part, valuation
 from .fqcurves import (
-    ANTI_SYMPLECTIC_ONLY,
-    BOTH,
     CurveOverFq,
     frob_disc,
     multiplicative_lift_possible,
-    residual_module_search,
     torsion_field_degree,
     trace_of_frobenius,
+    unipotent_search,
 )
 from .fq import Fq
 from .padic import PrecisionError, with_unramified_roots
@@ -260,7 +262,77 @@ def solve_local(m: WeierstrassModel, p: int, place: Place) -> LocalVerdict:
 def _solve_good(m: WeierstrassModel, p: int, ell: int, trace: list) -> LocalVerdict:
     """Good reduction at ell != p: Hensel bound, then condition (1)
     (p = 1 mod 4, which reads no point count), then the reduction's trace
-    a_ell and conditions (2)-(4), then the exhaustive residual search."""
+    a = a_ell and conditions (2)-(4), then the residual search, decided
+    from traces by ``unipotent_search``.
+
+    The search looks for a curve E over F_ell with E[p] isomorphic to
+    C[p] as a Frobenius module, C the reduction, by an isomorphism that
+    scales the Weil pairing by a non-square.  It finds one iff some
+    integer a' != a has a' = a (mod p) and a'^2 < 4 ell.
+
+    Proof.  Here p >= 7, as p in {3, 5} returned earlier.  (1) failed:
+    p = 3 mod 4.  (2) failed: a^2 - 4 ell = -p m^2, so Z[pi] has
+    fundamental discriminant -p and conductor m.  (3) failed: Frobenius
+    acts on C[p] as a non-scalar matrix of double eigenvalue lam = a/2
+    (mod p).  (4) failed: no prime q | m has (q/p) = -1.  A trace
+    a' != a (mod p) gives another characteristic polynomial.  A trace
+    a' = a (mod p) has p | a'^2 - 4 ell, which rules out the
+    supersingular traces (0; +-2 at ell = 2; +-3 at ell = 3) for p >= 7.
+
+    The curves.  Every integer a' with a'^2 < 4 ell is a trace over
+    F_ell.  Write a'^2 - 4 ell = f^2 d_K', d_K' fundamental.  The
+    ordinary classes of trace a' correspond to the pairs (O, [A]) of an
+    order Z[pi'] <= O <= O_K' and a class of Pic(O) (Deuring; Waterhouse
+    1969, "Abelian varieties over finite fields", Thm 4.5): each reduces
+    the complex torus with lattice A, and Frobenius is multiplication by
+    one pi' in K' for all of them.  Frobenius is scalar on E[p] iff p
+    divides h = [O : Z[pi']], a divisor of f (Duke-Toth 2002; see
+    ``fqcurves._is_scalar_action``).  If p does not divide h, then
+    p | h^2 d_O gives p | d_O.
+
+    The invariant.  A non-scalar E of trace a' = a (mod p) has, like C,
+    the matrix [[lam, *], [0, lam]], * != 0, so E[p] is isomorphic to
+    C[p], and an isomorphism phi scales the Weil pairing by det(phi),
+    whose square class is fixed (the centralizer x + yN has determinant
+    x^2).  w = 2 pi' - a' acts on E[p] as 2(pi' - lam), a nonzero
+    nilpotent; for x outside its kernel the square class u(E) of
+    log e_p(x, wx) does not depend on x, and phi carries w_C to w_E.  So
+    phi is symplectic iff u(E) = u(C).
+
+    The lift.  On the torus with lattice A <= O the Weil pairing of
+    (1/p)A/A is zeta^B(x, y) for the unimodular form B(x, y) =
+    Im(conj(x) y)/covol(A), covol(A) = N(A) sqrt|d_O|/2, with one
+    orientation for every curve; reducing at a prime above ell keeps it.
+    w = s h sqrt(d_O) with one sign s for all of O, so B(x, wx) =
+    2 s h N(x)/N(A).  As O/pO = F_p[e]/(e^2), x outside ker w has
+    N(x)/N(A) prime to p, and its Legendre symbol is chi_p([A]), the
+    genus character of Pic(O) at p (Cox, "Primes of the form x^2 + ny^2",
+    Sections 3 and 7).  So u(E) = eps(a') (h/p) chi_p([A]), with eps(a')
+    the same for every curve of trace a'.
+
+    The genus character.  chi_p(n) = (n/p) = (-p/n) by reciprocity.  If
+    d_K' = -p, then (-p/n) = (d_O/n) = 1 for each n prime to d_O that a
+    class represents: chi_p is trivial.  Otherwise it takes both values:
+    if p | d_K', it is a nontrivial genus character of O_K', and Pic(O)
+    maps onto Pic(O_K'); if not, p | [O_K' : O], and the classes over
+    the trivial class of Pic(O_K') represent the norms of
+    (O_K'/p O_K')^*, which include non-squares mod p.  So the non-scalar
+    curves of trace a' carry both classes u iff d_K' != -p or some
+    h | f prime to p has (h/p) = -1.
+
+    Trace a: d_K = -p, and every h | m prime to p is a product of primes
+    q with (q/p) = 1, so every non-scalar curve of trace a has u = u(C):
+    its classes are symplectic-only, and any one stands in for C.  Trace
+    a' != a, a' = a (mod p): if d_K' were -p, (a' + f sqrt(-p))/2 and
+    (a + m sqrt(-p))/2 would both have norm ell in O_K, so be equal up to
+    sign and conjugation (the units are +-1 for p > 3); then a' = -a, and
+    -a = a (mod p) gives p | a, so p | 4 ell, which is false.  So
+    d_K' != -p, and Z[pi'] (h = 1) carries both classes: some curve of
+    trace a' is an anti-symplectic partner.
+
+    Without such an a', the search finds only the non-scalar classes of
+    trace a, all symplectic-only.  Then a + p and p - a are both at
+    least 2 sqrt(ell), so Search-empty needs ell < p^2/4."""
     gd = genus(p)
     # (d)
     if ell > gd.hensel_bound:
@@ -299,14 +371,12 @@ def _solve_good(m: WeierstrassModel, p: int, ell: int, trace: list) -> LocalVerd
             return LocalVerdict(NON_EMPTY, "Thm-good(4)", {"q": q}, trace)
     trace.append("(4) no prime q != ell dividing Delta_ell has (q/p) = -1: fails")
 
-    partners = residual_module_search(C, p)
-    anti = [E2 for E2, v in partners if v in (ANTI_SYMPLECTIC_ONLY, BOTH)]
-    if anti:
-        ai = anti[0].ai_ints
-        trace.append(f"residual search: anti-symplectic partner {ai}")
+    partner, checked = unipotent_search(ell, p, a)
+    if partner is not None:
+        trace.append(f"residual search: anti-symplectic partner {partner}")
         return LocalVerdict(NON_EMPTY, "Search-antisymplectic",
-                            {"partner": list(ai)}, trace)
-    trace.append(f"residual search: {len(partners)} isomorphic module(s), "
+                            {"partner": list(partner)}, trace)
+    trace.append(f"residual search: {checked} isomorphic module(s), "
                  "all symplectic-only")
     if multiplicative_lift_possible(a, ell, p):
         trace.append(f"a_ell = {a} = +-({ell}+1) mod {p}: multiplicative lift")
@@ -314,7 +384,7 @@ def _solve_good(m: WeierstrassModel, p: int, ell: int, trace: list) -> LocalVerd
                             {"a": a}, trace)
     trace.append(f"a_ell = {a} != +-({ell}+1) mod {p}: no multiplicative lift")
     return LocalVerdict(EMPTY, "Search-empty",
-                        {"partners_checked": len(partners)}, trace)
+                        {"partners_checked": checked}, trace)
 
 
 def _solve_good_equal(m: WeierstrassModel, p: int, trace: list) -> LocalVerdict:
@@ -512,10 +582,3 @@ def _three_torsion_status(m: WeierstrassModel, ell: int) -> str:
         return with_unramified_roots(g, ell, any_square)
     except PrecisionError:
         return UNDETERMINED
-
-
-def three_torsion_point_exists(m: WeierstrassModel, ell: int) -> bool:
-    """True iff a point of order 3 with both coordinates in Q_ell exists
-    (certified by root lifting; the undecidable margin reports False only
-    through the three-valued internal status used by comparisons)."""
-    return _three_torsion_status(m, ell) == "Yes"

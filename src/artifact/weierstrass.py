@@ -81,11 +81,6 @@ class WeierstrassModel:
             raise ValueError("transformation does not preserve integrality")
         return WeierstrassModel(*(int(z) for z in new))
 
-    def naive_height(self) -> float:
-        vals = [abs(self.a1), abs(self.a2) ** (1 / 2), abs(self.a3) ** (1 / 3),
-                abs(self.a4) ** (1 / 4), abs(self.a6) ** (1 / 6)]
-        return max(vals)
-
 
 def _vp(n: int, ell: int) -> int:
     """v_ell(n), or a sentinel above every real valuation when n = 0."""

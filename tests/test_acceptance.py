@@ -21,7 +21,6 @@ from artifact.fqcurves import (
     count_points,
     frob_disc,
     frobenius_module,
-    mat_order,
     multiplicative_lift_possible,
     residual_module_search,
     trace_of_frobenius,
@@ -48,6 +47,7 @@ from artifact.weierstrass import (
     minimal_model_at,
     reduction_kind,
 )
+from oracles import mat_order
 
 W = WeierstrassModel
 

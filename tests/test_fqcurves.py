@@ -21,7 +21,6 @@ from artifact.fqcurves import (
     division_polynomial,
     frob_disc,
     frobenius_module,
-    mat_order,
     multiplicative_lift_possible,
     residual_module_search,
     torsion_field_degree,
@@ -37,6 +36,7 @@ from artifact.fqcurves import (
     _weil,
     _zeta_class_polys,
 )
+from oracles import mat_order
 
 
 def test_count_fixture_f4():

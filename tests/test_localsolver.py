@@ -12,11 +12,11 @@ from artifact.localsolver import (
     FinitePrime,
     HypothesisError,
     RealPlace,
+    _three_torsion_status,
     compare_symplectic,
     exceptional_prime,
     genus,
     solve_local,
-    three_torsion_point_exists,
 )
 from artifact.weierstrass import WeierstrassModel
 
@@ -173,15 +173,15 @@ def test_three_torsion_at_multiplicative_two_matches_tate_curve():
             continue
         split = (-mm.c4() * mm.c6()) % 8 == 1
         expected = not split or valuation(mm.discriminant(), 2) % 3 == 0
-        assert three_torsion_point_exists(m, 2) == expected, m.ainvs()
+        assert _three_torsion_status(m, 2) == ("Yes" if expected else "No"), m.ainvs()
         seen.add((split, expected))
     assert seen == {(False, True), (True, False), (True, True)}
 
 
 def test_three_torsion_fixtures():
-    assert three_torsion_point_exists(W(0, 0, 1, 0, 0), 5)    # (0,0) order 3
-    assert three_torsion_point_exists(W(0, 0, 0, 0, 4), 7)    # (0,2) order 3
-    assert not three_torsion_point_exists(W(0, 0, 0, 1, 0), 5)
+    assert _three_torsion_status(W(0, 0, 1, 0, 0), 5) == "Yes"    # (0,0) order 3
+    assert _three_torsion_status(W(0, 0, 0, 0, 4), 7) == "Yes"    # (0,2) order 3
+    assert _three_torsion_status(W(0, 0, 0, 1, 0), 5) == "No"
 
 
 def test_three_torsion_matches_point_count_oracle():
@@ -208,7 +208,7 @@ def test_three_torsion_matches_point_count_oracle():
                     continue
                 n = count_points(CurveOverFq(Fq(ell, 1), 0, 0, a3,
                                              a4 % ell, a6 % ell))
-                assert three_torsion_point_exists(m, ell) == (n % 3 == 0)
+                assert _three_torsion_status(m, ell) == ("Yes" if n % 3 == 0 else "No")
                 checked[ell] = checked.get(ell, 0) + 1
     assert sum(checked.values()) > 100 and checked[2] == 49
 

@@ -22,8 +22,6 @@ from artifact.fqcurves import (
     count_points,
     det_class_conjugacy,
     division_polynomial,
-    mat_mul,
-    mat_order,
     torsion_field_degree,
     weil_pairing,
 )
@@ -34,6 +32,7 @@ from artifact.weierstrass import (
     minimal_model_at,
     quadratic_twist,
 )
+from oracles import mat_mul, mat_order
 
 PRIMES_200 = [p for p in range(3, 200) if is_prime(p)]
 

@@ -199,11 +199,6 @@ def test_quadratic_twist_discriminant():
     assert d == 5 ** 6 * 2 ** 12
 
 
-def test_naive_height():
-    assert W(1, 1, 1, -1, 1).naive_height() == 1.0
-    assert W(0, 0, 0, 0, 64).naive_height() == 2.0
-
-
 # conductors: classic curves with well-known conductors, including wild
 # ramification at 2 and 3.
 CONDUCTORS = [
