@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
+# Trial division by the same primes proves every n < 43^2: a composite
+# below it has a prime factor <= 41.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 _TRIAL_LIMIT = 10**6
@@ -20,11 +24,13 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for n < 3.3e24."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:
             return False
+    if n < 43 * 43:
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -41,6 +47,19 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+@lru_cache(maxsize=32)
+def primes_upto(n: int) -> tuple[int, ...]:
+    """The primes q <= n in increasing order (sieve of Eratosthenes)."""
+    if n < 2:
+        return ()
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, n + 1, q)))
+    return tuple(compress(range(n + 1), sieve))
 
 
 def jacobi(a: int, m: int) -> int:

@@ -24,9 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
-from .arith import factorize, is_prime, legendre
+from .arith import factorize, is_prime, legendre, primes_upto
 from .fqcurves import trace_of_frobenius
 from .localsolver import (
     EMPTY,
@@ -190,8 +191,12 @@ def _certify_kernel(m: WeierstrassModel, q: int, h) -> bool:
     return True
 
 
+@lru_cache(maxsize=2048)
 def _proven_isogeny(m: WeierstrassModel, q: int) -> Optional[IsogenyEvidence]:
-    """Search for a certified rational kernel polynomial of degree (q-1)/2."""
+    """Search for a certified rational kernel polynomial of degree (q-1)/2.
+
+    Memoised per (model, q): the survey, the witness and the Frey-Mazur
+    rule (2) of one curve share each sympy certification."""
     import sympy
 
     x = sympy.Symbol("x")
@@ -223,15 +228,26 @@ def _proven_isogeny(m: WeierstrassModel, q: int) -> Optional[IsogenyEvidence]:
     return None
 
 
+@lru_cache(maxsize=8192)
+def _good_trace(m: WeierstrassModel, ell: int) -> Optional[int]:
+    """a_ell of m, or None when ell is a bad prime of m."""
+    if reduction_kind(m, ell) != ReductionKind.GOOD:
+        return None
+    return trace_of_frobenius(reduce_curve(m, ell))
+
+
 def _excluded_isogeny(m: WeierstrassModel, q: int) -> Optional[IsogenyEvidence]:
     """A good prime ell with (Delta_ell / q) = -1 rules out a rational
-    (indeed Q_ell-rational) degree-q isogeny."""
-    for ell in range(2, EXCLUSION_SCAN_BOUND + 1):
-        if not is_prime(ell) or ell == q:
+    (indeed Q_ell-rational) degree-q isogeny.
+
+    The scan itself is not memoised; each a_ell it reads is, per
+    (model, ell), so every degree q and every p of a curve share them."""
+    for ell in primes_upto(EXCLUSION_SCAN_BOUND):
+        if ell == q:
             continue
-        if reduction_kind(m, ell) != ReductionKind.GOOD:
+        a = _good_trace(m, ell)
+        if a is None:
             continue
-        a = trace_of_frobenius(reduce_curve(m, ell))
         disc = a * a - 4 * ell
         if q == 2:
             # Kronecker symbol (disc/2): -1 exactly when disc = 3, 5 mod 8
@@ -246,7 +262,11 @@ def _excluded_isogeny(m: WeierstrassModel, q: int) -> Optional[IsogenyEvidence]:
 def isogeny_survey(m: WeierstrassModel,
                    degrees=MAZUR_DEGREES) -> dict:
     """Resolve, per admissible prime degree, whether a rational isogeny of
-    that degree exists (Proven / Excluded / Unknown)."""
+    that degree exists (Proven / Excluded / Unknown).
+
+    Not memoised as a whole: its parts are, the a_ell of the exclusion
+    scan per (model, ell) and each certification per (model, q), so a
+    second survey of a model repeats no point count or factorization."""
     out = {}
     for q in degrees:
         ev = _excluded_isogeny(m, q)
@@ -261,7 +281,11 @@ def isogeny_survey(m: WeierstrassModel,
 def isogeny_witness(m: WeierstrassModel, p: int) -> Optional[IsogenyEvidence]:
     """A Proven isogeny of prime degree q with (q/p) = -1, if one exists
     among the admissible degrees; such a witness forces a rational point
-    on the twisted cover."""
+    on the twisted cover.
+
+    Shares the survey's memos (a_ell per (model, ell), certification per
+    (model, q)), so each (curve, q) is point-counted and certified once,
+    whichever p asks for it."""
     for q in MAZUR_DEGREES:
         if legendre(q % p, p) != -1:
             continue
@@ -459,9 +483,7 @@ def analyze(m: WeierstrassModel, p: int,
             "bounded scan: good primes in (%d, %d] not dividing %d*N_E "
             "assumed NonEmpty by the large-prime rule" % (cap, bound, p))
 
-    ells = sorted(set(bad) | {p} | {
-        ell for ell in range(2, cap + 1)
-        if is_prime(ell) and ell not in bad and ell != p})
+    ells = sorted(set(bad) | {p} | set(primes_upto(cap)))
 
     places: list[tuple[Place, LocalVerdict]] = [
         (RealPlace(), solve_local(m, p, RealPlace()))]

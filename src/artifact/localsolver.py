@@ -46,6 +46,7 @@ tried) are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .arith import factorize, is_prime, legendre, squarefree_part, valuation
 from .fqcurves import (
@@ -117,6 +118,7 @@ class HypothesisError(ValueError):
     applicable criterion; the message names the failed clause."""
 
 
+@lru_cache(maxsize=256)
 def genus(p: int) -> GenusData:
     """Genus of the p-torsion modular curve and the bound 4g^2 above
     which good primes are handled by Hensel lifting."""

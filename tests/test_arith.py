@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import sympy
 from hypothesis import example, given, strategies as st
@@ -10,6 +12,7 @@ from artifact.arith import (
     is_square,
     jacobi,
     legendre,
+    primes_upto,
     squarefree_part,
     valuation,
 )
@@ -25,6 +28,19 @@ def test_is_prime_large():
     assert is_prime(2 ** 61 - 1)
     assert not is_prime(2 ** 61 + 1)
     assert is_prime(10 ** 18 + 9)
+
+
+def test_is_prime_matches_trial_division():
+    # crosses the trial-division-only range's end at 43^2 = 1849, with
+    # 1681 = 41^2 and 1763 = 41 * 43 below it and 1847 prime
+    for n in range(-3, 5000):
+        naive = n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+        assert is_prime(n) == naive, n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 400, 1000])
+def test_primes_upto_matches_is_prime(n):
+    assert list(primes_upto(n)) == [q for q in range(n + 1) if is_prime(q)]
 
 
 def test_legendre_known():

@@ -1,5 +1,10 @@
+import dataclasses
+import random
+
 import pytest
 
+import artifact.globalreport as gr
+from artifact.arith import primes_upto
 from artifact.corpus import resolve
 from artifact.globalreport import (
     CONDITIONAL_FM,
@@ -7,6 +12,9 @@ from artifact.globalreport import (
     NOT_A_COUNTEREXAMPLE,
     PROVEN,
     UNDETERMINED,
+    IsogenyEvidence,
+    _good_trace,
+    _proven_isogeny,
     analyze,
     cm_classify,
     frey_mazur_classify,
@@ -15,8 +23,8 @@ from artifact.globalreport import (
     isogeny_witness,
     semistable_survey,
 )
-from artifact.localsolver import NON_EMPTY
-from artifact.weierstrass import WeierstrassModel
+from artifact.localsolver import NON_EMPTY, genus
+from artifact.weierstrass import SingularModelError, WeierstrassModel
 
 W = WeierstrassModel
 E11 = W(0, -1, 1, -10, -20)
@@ -143,6 +151,72 @@ def test_analyze_scan_note():
     assert r.scan_note is not None and "100" in r.scan_note
     checked = {pl.ell for pl, _ in r.places_checked[1:]}
     assert 11 in checked and 37 in checked
+
+
+def _random_model(seed):
+    rng = random.Random(seed)
+    while True:
+        try:
+            return W(0, 0, 0, rng.randint(-60, 60), rng.randint(-60, 60))
+        except SingularModelError:
+            pass
+
+
+def _clear_memos():
+    for fn in (_good_trace, _proven_isogeny, primes_upto, genus):
+        fn.cache_clear()
+
+
+def test_analyze_same_cold_and_warm():
+    models = [E11, E37, E121, _random_model(2024)]
+    jobs = [(m, p, fm) for m in models for p in (29, 37) for fm in (False, True)]
+
+    def run(m, p, fm):
+        return analyze(m, p, scan_cap=150, assume_frey_mazur=fm)
+
+    cold = []
+    for job in jobs:
+        _clear_memos()
+        cold.append(run(*job))
+    kinds = {r.overall.kind for r in cold}
+    assert {"HasRationalPoint", "HasseCounterexample", "EverywhereLocal"} <= kinds
+    for job in jobs:  # warm the memos with every job first
+        report = run(*job)
+        for _, v in report.places_checked:  # a caller may scribble on it
+            v.trace.append("mutated")
+            v.witness["mutated"] = True
+    assert [run(*job) for job in jobs] == cold
+
+
+def test_memos_hold_only_immutable_values():
+    assert isinstance(_good_trace(E11, 3), int)
+    assert _good_trace(E11, 11) is None
+    ev = _proven_isogeny(E11, 5)
+    assert isinstance(ev, IsogenyEvidence)
+    assert isinstance(ev.kernel_polynomial, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ev.certainty = EXCLUDED
+
+
+@pytest.mark.parametrize("m, p", [(E11, 37), (E121, 29)])
+def test_isogeny_certified_once_per_model(m, p, monkeypatch):
+    # (5/37) = (11/29) = -1: the witness certifies the model's only
+    # unexcluded degree, and the survey and rule (2) reuse it
+    _clear_memos()
+    isogeny_witness(m, p)
+    misses = _proven_isogeny.cache_info().misses
+    assert misses > 0
+    frey_mazur_classify(m, p)
+    isogeny_survey(m)
+    isogeny_survey(m)
+    assert _proven_isogeny.cache_info().misses == misses
+
+    def no_count(C):
+        raise AssertionError("point count repeated")
+
+    monkeypatch.setattr(gr, "trace_of_frobenius", no_count)
+    assert isogeny_survey(m) == isogeny_survey(m)
+    isogeny_witness(m, 101)
 
 
 def test_survey_h1():

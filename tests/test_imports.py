@@ -58,6 +58,64 @@ def test_no_unreferenced_private_definitions():
     assert not dead, f"unreferenced private definitions: {dead}"
 
 
+def _cache_names(tree):
+    """Local names bound to functools.lru_cache or functools.cache."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "functools"
+            for alias in node.names if alias.name in ("lru_cache", "cache")}
+
+
+def _is_cache(node, names):
+    target = node.func if isinstance(node, ast.Call) else node
+    if isinstance(target, ast.Attribute):
+        return (isinstance(target.value, ast.Name) and target.value.id == "functools"
+                and target.attr in ("lru_cache", "cache"))
+    return isinstance(target, ast.Name) and target.id in names
+
+
+def test_caches_decorate_module_level_functions():
+    """perfbench/tracing.clear_caches empties the caches it finds among
+    module attributes; a cache on a nested function or built by a call
+    inside a body would survive it and warm the traced pass."""
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = _cache_names(tree)
+        allowed = {id(part) for node in tree.body if isinstance(node, ast.FunctionDef)
+                   for dec in node.decorator_list if _is_cache(dec, names)
+                   for part in (dec, getattr(dec, "func", dec))}
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute, ast.Call))
+                  and _is_cache(node, names) and id(node) not in allowed]
+    assert not stray, f"caches off module-level functions: {stray}"
+
+
+#: Caches keyed by a model or by a bound that grows with the input.
+BOUNDED_CACHES = {
+    "arith.py": {"primes_upto"},
+    "globalreport.py": {"_good_trace", "_proven_isogeny"},
+    "localsolver.py": {"genus"},
+    "semistability.py": {"defect"},
+    "weierstrass.py": {"minimal_model_at"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(BOUNDED_CACHES))
+def test_growing_caches_are_bounded(module):
+    """Each listed cache is written lru_cache(maxsize=<int>)."""
+    tree = ast.parse((SRC / module).read_text())
+    names = _cache_names(tree)
+    sizes = {}
+    for node in tree.body:
+        for dec in getattr(node, "decorator_list", ()):
+            if _is_cache(dec, names) and isinstance(dec, ast.Call):
+                args = dec.args + [kw.value for kw in dec.keywords if kw.arg == "maxsize"]
+                sizes[node.name] = getattr(args[0], "value", None) if args else None
+    unbounded = [name for name in BOUNDED_CACHES[module]
+                 if not isinstance(sizes.get(name), int)]
+    assert not unbounded, f"{module}: no finite maxsize on {unbounded}"
+
+
 def test_defect_does_no_field_arithmetic():
     """The semistability defect is a table on the invariants: its module
     imports nothing from the p-adic root finder or the finite fields."""

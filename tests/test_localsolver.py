@@ -1,7 +1,9 @@
 import itertools
+import math
 
 import pytest
 
+from artifact.arith import factorize, is_square, legendre, primes_upto
 from artifact.localsolver import (
     ANTI_SYMPLECTIC,
     EMPTY,
@@ -40,6 +42,26 @@ def test_genus_rejects():
         genus(2)
     with pytest.raises(ValueError):
         genus(9)
+
+
+def test_p7_conditions_3_and_4_never_fire_below_hensel_bound():
+    # Once Thm-good(2) fails, 4 ell - a^2 = 7 m^2.  (3) needs Frobenius
+    # scalar on E[7], hence 7 | m; (4) needs a prime q | m with (q/7) = -1.
+    # Below the Hensel bound every such m is 1, 2 or 4, and (2/7) = 1.
+    bound = genus(7).hensel_bound
+    assert bound == 36
+    ms = set()
+    for ell in primes_upto(bound):
+        if ell == 7:
+            continue
+        r = math.isqrt(4 * ell)
+        for a in range(-r, r + 1):
+            n = 4 * ell - a * a
+            if n % 7 == 0 and is_square(n // 7):
+                ms.add(math.isqrt(n // 7))
+    assert ms == {1, 2, 4}
+    assert all(m % 7 for m in ms)
+    assert all(legendre(q, 7) == 1 for m in ms for q in factorize(m).primes())
 
 
 def test_small_p_rule():
