@@ -26,7 +26,6 @@ from .arith import factorize, legendre
 from .fq import (
     Fq,
     QuadExt,
-    flx_add,
     flx_deg,
     flx_divmod,
     flx_gcd,
@@ -34,10 +33,9 @@ from .fq import (
     flx_monic,
     flx_mul,
     flx_powmod,
+    flx_split,
     flx_sub,
     flx_trim,
-    poly_eval,
-    poly_roots,
 )
 from .semistability import InternalInconsistencyError
 
@@ -292,6 +290,30 @@ def _elem_sqrt(F, a):
     return x
 
 
+def _solve_y_char2(F: Fq, b, rhs) -> list:
+    """All y in F = F_{2^k} with y^2 + b y = rhs, sorted.  For b = 0 the
+    one square root rhs^(q/2).  Otherwise y = b z with z^2 + z = c,
+    c = rhs/b^2, solvable iff Tr(c) = 0, and then, for any theta of trace
+    1, z = sum_{0<j<k} theta^(2^j) (c + c^2 + ... + c^(2^(j-1))), the
+    other root being z + 1."""
+    if F.is_zero(b):
+        return [F.pow(rhs, F.q // 2)]
+    binv = F.inv(b)
+    c = F.mul(rhs, F.mul(binv, binv))
+    if _trace_to_f2(F, c):
+        return []
+    theta = next(e for e in map(F.from_index, (2**i for i in range(F.k)))
+                 if _trace_to_f2(F, e))
+    z, prefix = F.zero(), F.zero()
+    for _ in range(F.k - 1):
+        prefix = F.add(prefix, c)
+        c = F.mul(c, c)
+        theta = F.mul(theta, theta)
+        z = F.add(z, F.mul(theta, prefix))
+    y = F.mul(b, z)
+    return sorted([y, F.add(y, b)])
+
+
 def _solve_y(C: CurveOverFq, x) -> list:
     """All y with (x, y) on the curve."""
     F = C.F
@@ -301,7 +323,7 @@ def _solve_y(C: CurveOverFq, x) -> list:
         F.add(F.mul(C.a4, x), C.a6),
     )
     if F.ell == 2:
-        return poly_roots(F, [F.neg(rhs), b, F.one()])
+        return _solve_y_char2(F, b, rhs)
     disc = F.add(F.mul(b, b), F.smul(4, rhs))
     s = _elem_sqrt(F, disc)
     if s is None:
@@ -591,17 +613,7 @@ def _nonkernel_factor(C: CurveOverFq, p: int, lam: int):
         r = flx_trim([rng.randrange(ell) for _ in range(flx_deg(g))])
         if flx_deg(r) < 1:
             continue
-        if ell == 2:
-            # trace map into F_2 over F_{2^D}
-            acc = [0]
-            cur = flx_mod(ell, r, g)
-            for _ in range(D):
-                acc = flx_add(ell, acc, cur)
-                cur = flx_mod(ell, flx_mul(ell, cur, cur), g)
-            cand = flx_gcd(ell, acc, g)
-        else:
-            t = flx_powmod(ell, r, (ell**D - 1) // 2, g)
-            cand = flx_gcd(ell, flx_sub(ell, t, [1]), g)
+        cand = flx_split(ell, g, D, r)
         d = flx_deg(cand)
         if 0 < d < flx_deg(g):
             g = cand if d >= D else flx_divmod(ell, g, cand)[0]
@@ -697,7 +709,10 @@ def _unipotent_u_class(C: CurveOverFq, p: int, lam: int) -> int:
     # reference unipotent examples land in the documented square classes
     sq_poly, nonsq_poly = _zeta_class_polys(ell, p)
     for cls, ints in ((1, sq_poly), (-1, nonsq_poly)):
-        if L.is_zero(poly_eval(L, [L.from_int(c) for c in ints], z0)):
+        acc = L.zero()
+        for c in reversed(ints):
+            acc = L.add(L.mul(acc, z0), L.from_int(c))
+        if L.is_zero(acc):
             return cls
     raise RuntimeError(
         "pairing value is not a primitive p-th root")  # pragma: no cover
@@ -750,11 +765,15 @@ def torsion_field_degree(C: CurveOverFq, p: int) -> int:
         lam = (ap * pow(2, -1, p)) % p
         s = _ord_mod(lam, p)
         return s if _is_scalar_action(C, p, a, lam) else p * s
-    # distinct eigenvalues: the order of the matrix is the lcm of theirs
-    Fp2 = Fq(p, 2)
-    r1, r2 = poly_roots(Fp2, [Fp2.from_int(qp), Fp2.from_int(-ap), Fp2.one()])
-    o1, o2 = Fp2.element_order(r1), Fp2.element_order(r2)
-    return o1 * o2 // math.gcd(o1, o2)
+    # distinct eigenvalues: the matrix is conjugate to the companion
+    # matrix of chi = x^2 - a x + ell, so its order is that of x mod chi,
+    # which divides p^2 - 1 (x lies in F_{p^2}^* or in F_p^* x F_p^*)
+    chi = [qp, -ap % p, 1]
+    n = p * p - 1
+    for prime, _ in factorize(n).factors:
+        while n % prime == 0 and flx_powmod(p, [0, 1], n // prime, chi) == [1]:
+            n //= prime
+    return n
 
 
 def _check_prime_field(F, p: int) -> None:

@@ -396,10 +396,7 @@ def frey_mazur_classify(m: WeierstrassModel, p: int) -> str:
     def _pot_good_defect(ell):
         if reduction_kind(m, ell) != ReductionKind.ADDITIVE_POT_GOOD:
             return None
-        prof = defect(m, ell)
-        if prof.e == UNDETERMINED:
-            return None
-        return prof
+        return defect(m, ell)
 
     # (2)
     if p % 8 == 5:

@@ -40,7 +40,6 @@ tried) are:
     Thm-e4-wild            e = 4, ell = 2: biconditional in (2/p)
     Thm-e8-24              e in {8, 24} (ell = 2): biconditional in (2/p)
     Thm-e12                e = 12 (ell = 3): biconditional in (3/p)
-    Undetermined-defect    the defect computation did not resolve
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .fqcurves import (
 )
 from .fq import Fq
 from .padic import PrecisionError, with_unramified_roots
-from .semistability import UNDETERMINED as DEFECT_UNDETERMINED
 from .semistability import defect, e3_twist, good_twist
 from .weierstrass import (
     ReductionKind,
@@ -185,10 +183,6 @@ def solve_local(m: WeierstrassModel, p: int, place: Place) -> LocalVerdict:
     prof = defect(m, ell)
     e = prof.e
     trace.append(f"semistability defect at {ell}: e = {e}")
-
-    # (m) unresolved defect
-    if e == DEFECT_UNDETERMINED:
-        return LocalVerdict(UNDETERMINED, "Undetermined-defect", {}, trace)
 
     # (h) quadratic-twist reductions
     if e == 2:

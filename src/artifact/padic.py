@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import discriminant, valuation
-from .fq import Fq, flx_gcd, flx_powmod, flx_sub, flx_trim, poly_roots
+from .fq import flx_roots
 
 
 class PrecisionError(ArithmeticError):
@@ -50,20 +50,6 @@ def _shift(coeffs, alpha: int, mod: int):
     return out
 
 
-def _residue_roots(coeffs, ell: int) -> list[int]:
-    """Sorted distinct roots in F_ell: the linear factors are
-    gcd(x^ell - x, f), split by ``poly_roots`` only when there are two or
-    more."""
-    f = flx_trim([c % ell for c in coeffs])
-    if len(f) == 1:
-        return []
-    g = flx_gcd(ell, flx_sub(ell, flx_powmod(ell, [0, 1], ell, f), [0, 1]), f)
-    if len(g) <= 2:
-        return [-g[0] % ell] if len(g) == 2 else []
-    F = Fq(ell, 1)
-    return [r for (r,) in poly_roots(F, [F.from_int(c) for c in g])]
-
-
 def _roots(coeffs, ell: int, prec: int) -> list[Root]:
     """Z_ell-roots of a polynomial whose coefficients are known modulo
     ell^prec, each to the digits it is known to."""
@@ -77,7 +63,7 @@ def _roots(coeffs, ell: int, prec: int) -> list[Root]:
     coeffs = [c // ell**mu for c in coeffs]
     deriv = [i * c % mod for i, c in enumerate(coeffs)][1:]
     roots = []
-    for alpha in _residue_roots(coeffs, ell):
+    for alpha in flx_roots(ell, coeffs):
         if _eval(deriv, alpha, ell):
             # a simple root: Newton's iteration
             x = alpha

@@ -28,8 +28,6 @@ from .weierstrass import (
     tilde_invariants,
 )
 
-UNDETERMINED = "Undetermined"
-
 YES = "Yes"
 NO = "No"
 NOT_APPLICABLE = "NotApplicable"
@@ -50,18 +48,22 @@ class InternalInconsistencyError(RuntimeError):
 @dataclass(frozen=True)
 class DefectProfile:
     ell: int
-    e: int | str  # member of {2,3,4,6,8,12,24} or UNDETERMINED
+    e: int  # member of {2,3,4,6,8,12,24}
     tilde: TildeInvariants
     nonabelian_torsion: str  # YES / NO / NOT_APPLICABLE
 
 
 # ell >= 5: denominator of v(Delta_min)/12; other valuations cannot occur
-# for minimal additive potentially good models when ell >= 5.
+# for minimal additive potentially good models when ell >= 5 (Kodaira
+# types II to II*).
 _TAME_E = {2: 6, 3: 4, 4: 3, 6: 2, 8: 3, 9: 4, 10: 6}
 
 
-def _defect_tame(v_delta: int) -> int | str:
-    return _TAME_E.get(v_delta, UNDETERMINED)
+def _defect_tame(v_delta: int) -> int:
+    if v_delta not in _TAME_E:
+        raise InternalInconsistencyError(
+            f"v(Delta_min) = {v_delta} at a tame additive potentially good place")
+    return _TAME_E[v_delta]
 
 
 def _defect_3(t: TildeInvariants) -> int:

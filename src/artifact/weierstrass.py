@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import factorize, squarefree_part, valuation
-from .fq import Fq, poly_root_multiplicity
+from .fq import flx_divmod
 
 
 class SingularModelError(ValueError):
@@ -235,10 +235,17 @@ def _conductor_exponent_wild(m: WeierstrassModel, p: int) -> int:
     m = norm
     a1, a2, a3, a4, a6 = m.ainvs()
 
-    # cubic P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3) over F_p
-    F = Fq(p, 1)
-    P = [F.from_int(c) for c in (a6 // p ** 3, a4 // p ** 2, a2 // p, 1)]
-    mults = {r: poly_root_multiplicity(F, P, (r,)) for r in range(p)}
+    # cubic P(T) = T^3 + (a2/p) T^2 + (a4/p^2) T + (a6/p^3) over F_p; the
+    # multiplicity of each root r by repeated division by T - r
+    P = [c % p for c in (a6 // p ** 3, a4 // p ** 2, a2 // p, 1)]
+    mults = {}
+    for r in range(p):
+        f, mults[r] = P, 0
+        while True:
+            f, rem = flx_divmod(p, f, [-r % p, 1])
+            if rem != [0]:
+                break
+            mults[r] += 1
     triple = [r for r, mu in mults.items() if mu >= 3]
     double = [r for r, mu in mults.items() if mu == 2]
 

@@ -9,8 +9,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from artifact.arith import is_prime, legendre
 from artifact.corpus import corpus, resolve
 from artifact.fq import Fq

@@ -3,8 +3,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from artifact.cli import main
 
 

@@ -1,11 +1,12 @@
 """The prime-field polynomial layer of ``fq``: the int-list ``flx_*``
-functions against the generic ``poly_*`` reference over Fq(ell, 1), the
-irreducibility test against brute force, and the pinned field moduli."""
+functions against the generic ``poly_*`` reference of ``oracles`` over
+Fq(ell, 1), root finding and the irreducibility test against brute force,
+and the pinned field moduli."""
 
 import itertools
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from artifact.fq import (
     Fq,
@@ -16,15 +17,11 @@ from artifact.fq import (
     flx_gcd,
     flx_mul,
     flx_powmod,
+    flx_roots,
     flx_sub,
-    poly_add,
-    poly_divmod,
-    poly_gcd,
-    poly_mul,
-    poly_powmod,
-    poly_sub,
 )
 from artifact.fqcurves import CurveOverFq, frobenius_module, torsion_field_degree
+from oracles import poly_add, poly_divmod, poly_gcd, poly_mul, poly_powmod, poly_sub
 
 ELLS = (2, 3, 5, 7, 13, 47, 101)
 
@@ -76,6 +73,23 @@ def test_flx_powmod_matches_generic(case, n):
     F = Fq(ell, 1)
     expect = _from_F(poly_powmod(F, _to_F(F, f), n, _to_F(F, m)))
     assert flx_powmod(ell, f, n, m) == expect
+
+
+@settings(max_examples=300, deadline=None)
+@given(ell_and_polys(max_len=12))
+@example((2, [0, 1], [1, 1]))               # x (x + 1)^2 over F_2
+@example((101, [1], [5, 1]))                # a double root
+@example((7, [3], [0, 0, 1]))               # x^4: one root of multiplicity 4
+def test_flx_roots_match_brute_force(case):
+    # f g^2 has repeated roots whenever g has roots; the coefficients are
+    # shifted by multiples of ell, as the p-adic root finder passes them
+    ell, f, g = case
+    h = flx_mul(ell, f, flx_mul(ell, g, g))
+    assume(any(h))
+    expect = [r for r in range(ell)
+              if sum(c * r**i for i, c in enumerate(h)) % ell == 0]
+    assert flx_roots(ell, h) == expect
+    assert flx_roots(ell, [c + ell * i for i, c in enumerate(h)]) == expect
 
 
 def _monics(ell, d):

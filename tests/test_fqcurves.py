@@ -1,4 +1,5 @@
 import itertools
+import random
 from functools import lru_cache
 
 import pytest
@@ -6,9 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from artifact import fqcurves
 from artifact.arith import legendre
-from artifact.fq import (
-    Fq, QuadExt, flx_mod, flx_monic, flx_powmod, poly_eval, poly_roots,
-)
+from artifact.fq import Fq, QuadExt, flx_mod, flx_monic, flx_powmod
 from artifact.fqcurves import (
     ANTI_SYMPLECTIC_ONLY,
     BOTH,
@@ -29,6 +28,9 @@ from artifact.fqcurves import (
 )
 from artifact.fqcurves import (
     SingularCurveError,
+    _count_bsgs,
+    _count_naive,
+    _count_prime,
     _division_cache,
     _nonkernel_factor,
     _point_frob,
@@ -36,7 +38,7 @@ from artifact.fqcurves import (
     _weil,
     _zeta_class_polys,
 )
-from oracles import mat_order
+from oracles import mat_order, poly_eval, poly_roots
 
 
 def test_count_fixture_f4():
@@ -117,12 +119,78 @@ def test_residual_search_example_5_7():
     assert any(tuple(c.ai_ints) == (0, 0, 0, 1, 7) for c, _ in hits)
 
 
-def test_torsion_field_degree_is_matrix_order():
-    F = Fq(5, 1)
-    C = CurveOverFq(F, 0, 0, 0, 1, 1)
-    for p in (3, 7, 11):
-        M = frobenius_module(C, p)
-        assert torsion_field_degree(C, p) == mat_order(M.matrix, p)
+def test_torsion_field_degree_is_matrix_order(monkeypatch):
+    # the class of u does not change the order p*ord(lam) of a unipotent
+    # matrix, so the pairing that decides it is skipped
+    monkeypatch.setattr(fqcurves, "_unipotent_u_class", lambda C, p, lam: 1)
+    kinds = set()
+    for ell in (5, 7, 11, 13, 17):
+        for ai in curve_classes(ell)[:6]:
+            C = CurveOverFq(Fq(ell, 1), *ai)
+            a = trace_of_frobenius(C)
+            for p in (3, 5, 7, 11, 13):
+                if p == ell:
+                    continue
+                M = frobenius_module(C, p)
+                assert torsion_field_degree(C, p) == mat_order(M.matrix, p), (ai, ell, p)
+                disc = (a * a - 4 * ell) % p
+                kinds.add(legendre(disc, p) if disc else 0)
+    # chi = x^2 - a x + ell: split, irreducible and with a double root
+    assert kinds == {1, -1, 0}
+
+
+def _curves(F, count, rng):
+    """count nonsingular curves over F with a_i drawn from rng (ints on a
+    prime field, so that ``_count_prime`` can read them)."""
+    out = []
+    while len(out) < count:
+        ai = [rng.randrange(F.q) for _ in range(5)]
+        try:
+            out.append(CurveOverFq(F, *(ai if F.k == 1 else map(F.from_index, ai))))
+        except SingularCurveError:
+            pass
+    return out
+
+
+def test_bsgs_count_matches_prime_field_count(monkeypatch):
+    twists = []
+    monkeypatch.setattr(fqcurves, "_quadratic_twist_curve",
+                        lambda C, orig=fqcurves._quadratic_twist_curve:
+                        twists.append(C) or orig(C))
+    rng = random.Random(1)
+    curves = [C for ell in (101, 1009, 10007) for C in _curves(Fq(ell, 1), 60, rng)]
+    curves += [CurveOverFq(Fq(ell, 1), *ai) for ell in (1019, 10007)
+               for ai in ((0, 0, 0, 1, 0), (0, 0, 0, -1, 0), (0, 0, 0, 0, 1))]
+    for C in curves:
+        assert _count_bsgs(C) == _count_prime(C.F.ell, *C.ai_ints), C.ai_ints
+    # some group's exponent leaves several candidates in the Hasse interval
+    assert twists
+
+
+def test_bsgs_count_matches_enumeration_char_2():
+    # random points come from the closed-form y^2 + b y = rhs over F_{2^k}
+    rng = random.Random(2)
+    for k in (4, 5, 6, 7, 8, 9):
+        for C in _curves(Fq(2, k), 2, rng):
+            assert _count_bsgs(C) == _count_naive(C), (k, C.a1, C.a2, C.a3, C.a4, C.a6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([(2, k) for k in range(1, 9)]
+                       + [(3, 1), (3, 4), (5, 3), (7, 1), (11, 2), (101, 1)]),
+       st.data())
+def test_solve_y_matches_root_oracle(field, data):
+    F = Fq(*field)
+    elem = st.integers(0, F.q - 1).map(F.from_index)
+    try:
+        C = CurveOverFq(F, *[data.draw(elem) for _ in range(5)])
+    except SingularCurveError:
+        assume(False)
+    x = data.draw(elem)
+    b = F.add(F.mul(C.a1, x), C.a3)
+    rhs = F.add(F.add(F.mul(x, F.mul(x, x)), F.mul(C.a2, F.mul(x, x))),
+                F.add(F.mul(C.a4, x), C.a6))
+    assert sorted(_solve_y(C, x)) == poly_roots(F, [F.neg(rhs), b, F.one()])
 
 
 def _torsion_points(ell, k, ai, p):

@@ -1,14 +1,17 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library or test module imports is used in that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "artifact"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "artifact"
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = {}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.arith import is_prime, legendre
-from artifact.fq import Fq, poly_roots
+from artifact.fq import Fq
 from artifact.fqcurves import (
     BOTH,
     NOT_ISOMORPHIC,
@@ -32,7 +32,7 @@ from artifact.weierstrass import (
     minimal_model_at,
     quadratic_twist,
 )
-from oracles import mat_mul, mat_order
+from oracles import mat_mul, mat_order, poly_roots
 
 PRIMES_200 = [p for p in range(3, 200) if is_prime(p)]
 

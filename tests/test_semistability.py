@@ -1,4 +1,5 @@
 import csv
+import random
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from artifact.corpus import corpus
 from artifact.fq import flx_gcd, flx_mod
 from artifact.localsolver import FinitePrime, solve_local
 from artifact.semistability import (
+    _TAME_E,
     WrongReductionKindError,
     _twist_classes,
     defect,
@@ -29,6 +31,26 @@ W = WeierstrassModel
 
 def _prof(ai, ell):
     return defect(minimal_model_at(W(*ai), ell), ell)
+
+
+def test_tame_defect_table_is_total():
+    # at ell >= 5 a minimal additive potentially good model has Kodaira
+    # type II to II*, so v(Delta_min) is a key of the table: defect never
+    # raises, and the models reach every (e, v(Delta_min)) pair
+    rng = random.Random(35)
+    seen, models = set(), 0
+    while models < 2000:
+        ell = rng.choice((5, 7, 11, 13))
+        ai = [rng.randint(-9, 9) * ell ** rng.randint(0, w) for w in (1, 2, 3, 4, 6)]
+        try:
+            if reduction_kind(W(*ai), ell) != ReductionKind.ADDITIVE_POT_GOOD:
+                continue
+        except SingularModelError:
+            continue
+        prof = defect(W(*ai), ell)
+        models += 1
+        seen.add((prof.e, prof.tilde.v_delta))
+    assert seen == {(e, v) for v, e in _TAME_E.items()}
 
 
 def test_defect_requires_additive_potentially_good():

@@ -1,9 +1,11 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from artifact.arith import valuation
+from artifact.corpus import corpus, corpus_note
 from artifact.weierstrass import (
     ReductionKind,
     SingularModelError,
@@ -226,8 +228,13 @@ CONDUCTORS = [
     ((0, 0, 0, -4, 0), 64),
 ]
 
+# class-verified corpus curves: the conductor is the label's leading number
+CLASS_VERIFIED = [(ai, int(re.match(r"\d+", label).group()))
+                  for label, ai in corpus().items()
+                  if corpus_note(label).startswith("class-verified")]
 
-@pytest.mark.parametrize("ai,n", CONDUCTORS)
+
+@pytest.mark.parametrize("ai,n", CONDUCTORS + CLASS_VERIFIED)
 def test_conductor_fixtures(ai, n):
     assert conductor(W(*ai)) == n
 
